@@ -17,13 +17,6 @@
 //! anyway.  Claim: uring spends fewer syscalls per request than epoll
 //! under churn.
 //!
-//! **Reply-prefetch arm**: A/B of the worker flush path's value-line
-//! hints with 1 KiB values — deep pipelines overflow L1 between the
-//! completion drain (which copies each value) and the wire flush, so the
-//! hints re-warm whatever cooled.  The effect rides on cache pressure and
-//! core topology; the arm reports medians over counterbalanced runs with
-//! the measured run-to-run spread as the verdict's noise floor.
-//!
 //! ```text
 //! cargo run --release -p cphash-bench --bin ablate_frontend -- \
 //!     [--idle 1000] [--requests 50000] [--rate 20000] [--churn 10000] \
@@ -279,162 +272,6 @@ fn run_churn(kind: FrontendKind, conns: u64) -> ChurnOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Reply-prefetch arm
-// ---------------------------------------------------------------------------
-
-#[derive(Clone)]
-struct PrefetchOutcome {
-    enabled: bool,
-    throughput: f64,
-    batch_p99_us: u64,
-    batch_mean_us: f64,
-}
-
-fn run_prefetch(enabled: bool) -> PrefetchOutcome {
-    let mut server = CpServer::start(CpServerConfig {
-        client_threads: 2,
-        partitions: 2,
-        capacity_bytes: Some(64 * 1024 * 1024),
-        typical_value_bytes: 1024,
-        frontend: FrontendKind::Epoll,
-        reply_prefetch: enabled,
-        ..Default::default()
-    })
-    .expect("starting CPSERVER");
-    let addr = server.addr();
-
-    const KEYS: u64 = 4096;
-    const VALUE_BYTES: usize = 1024;
-    const PIPELINE: u64 = 64;
-    const BATCHES: u64 = 400;
-
-    let mut stream = TcpStream::connect(addr).expect("prefetch connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut decoder = ResponseDecoder::new();
-    let mut buf = [0u8; 256 * 1024];
-    let value = vec![0xa5u8; VALUE_BYTES];
-
-    // Populate fire-and-forget (v1 inserts carry no response), then barrier
-    // with a full warm-up lookup pass: per-connection ordering defers each
-    // lookup behind the in-flight write of its key, so once the pass
-    // completes every value is resident and the measurement below starts
-    // from a steady state.
-    let mut wire = BytesMut::new();
-    for key in 0..KEYS {
-        encode_insert(&mut wire, key, &value);
-        if wire.len() >= 256 * 1024 {
-            stream.write_all(&wire).expect("populate write");
-            wire.clear();
-        }
-    }
-    stream.write_all(&wire).expect("populate write");
-    let mut key = 0u64;
-    while key < KEYS {
-        let mut wire = BytesMut::new();
-        let batch = PIPELINE.min(KEYS - key);
-        for _ in 0..batch {
-            encode_lookup(&mut wire, key);
-            key += 1;
-        }
-        stream.write_all(&wire).expect("warmup write");
-        let mut got = 0;
-        while got < batch {
-            if let Some(resp) = decoder.next_response().expect("warmup decode") {
-                assert_eq!(
-                    resp.value.as_deref().map(|v| v.len()),
-                    Some(VALUE_BYTES),
-                    "populated value went missing during warm-up"
-                );
-                got += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).expect("warmup read");
-            assert!(n > 0);
-            decoder.feed(&buf[..n]);
-        }
-    }
-
-    // Measure pipelined lookups that each carry a 1 KiB value back.
-    let mut batch_latencies = Vec::with_capacity(BATCHES as usize);
-    let started = Instant::now();
-    for b in 0..BATCHES {
-        let mut wire = BytesMut::new();
-        for i in 0..PIPELINE {
-            encode_lookup(&mut wire, (b * 31 + i * 17) % KEYS);
-        }
-        let begun = Instant::now();
-        stream.write_all(&wire).expect("lookup write");
-        let mut got = 0;
-        while got < PIPELINE {
-            if let Some(resp) = decoder.next_response().expect("lookup decode") {
-                assert_eq!(resp.value.as_deref().map(|v| v.len()), Some(VALUE_BYTES));
-                got += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).expect("lookup read");
-            assert!(n > 0);
-            decoder.feed(&buf[..n]);
-        }
-        batch_latencies.push(begun.elapsed().as_micros() as u64);
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    server.shutdown();
-
-    batch_latencies.sort_unstable();
-    let mean = batch_latencies.iter().sum::<u64>() as f64 / batch_latencies.len().max(1) as f64;
-    PrefetchOutcome {
-        enabled,
-        throughput: (BATCHES * PIPELINE) as f64 / elapsed.max(1e-9),
-        batch_p99_us: percentile(&batch_latencies, 99.0),
-        batch_mean_us: mean,
-    }
-}
-
-/// Median throughput / latency over one variant's runs, plus the relative
-/// spread (max−min over median) as an empirical noise floor.
-struct PrefetchSummary {
-    enabled: bool,
-    throughput: f64,
-    batch_p99_us: u64,
-    batch_mean_us: f64,
-    spread: f64,
-    runs: usize,
-}
-
-fn summarize_prefetch(runs: &[PrefetchOutcome], enabled: bool) -> PrefetchSummary {
-    let mut ours: Vec<&PrefetchOutcome> = runs.iter().filter(|o| o.enabled == enabled).collect();
-    assert!(!ours.is_empty(), "variant never ran");
-    ours.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-    let median = ours[ours.len() / 2];
-    let lo = ours.first().expect("nonempty").throughput;
-    let hi = ours.last().expect("nonempty").throughput;
-    PrefetchSummary {
-        enabled,
-        throughput: median.throughput,
-        batch_p99_us: median.batch_p99_us,
-        batch_mean_us: median.batch_mean_us,
-        spread: (hi - lo) / median.throughput.max(1e-9),
-        runs: ours.len(),
-    }
-}
-
-/// Classify the prefetch A/B on median throughput: "win" / "tie" /
-/// "regression", with the dead band widened to the *measured* run-to-run
-/// spread — on a noisy (e.g. single-hardware-thread CI) host a delta inside
-/// the variants' own jitter proves nothing either way.
-fn prefetch_note(on: &PrefetchSummary, off: &PrefetchSummary) -> &'static str {
-    let delta = on.throughput / off.throughput.max(1e-9) - 1.0;
-    let noise = on.spread.max(off.spread).max(0.02);
-    if delta >= noise {
-        "win"
-    } else if delta <= -noise {
-        "regression"
-    } else {
-        "tie"
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------------
 
@@ -443,7 +280,6 @@ fn write_json(
     args: &Args,
     scaling: &[ScalingOutcome],
     churn: &[ChurnOutcome],
-    prefetch: &(PrefetchSummary, PrefetchSummary),
     wakeup_ratio: f64,
     uring_real: bool,
 ) {
@@ -490,22 +326,7 @@ fn write_json(
             if i + 1 < churn.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n");
-
-    let (on, off) = prefetch;
-    out.push_str(&format!(
-        "  \"reply_prefetch\": {{\n    \"on\": {{\"throughput_rps\": {:.0}, \"batch_p99_us\": {}, \"batch_mean_us\": {:.1}, \"spread\": {:.3}}},\n    \"off\": {{\"throughput_rps\": {:.0}, \"batch_p99_us\": {}, \"batch_mean_us\": {:.1}, \"spread\": {:.3}}},\n    \"runs_per_variant\": {},\n    \"note\": \"{}\"\n  }}\n}}\n",
-        on.throughput,
-        on.batch_p99_us,
-        on.batch_mean_us,
-        on.spread,
-        off.throughput,
-        off.batch_p99_us,
-        off.batch_mean_us,
-        off.spread,
-        on.runs.min(off.runs),
-        prefetch_note(on, off)
-    ));
+    out.push_str("  ]\n}\n");
 
     std::fs::write(path, out).expect("writing JSON report");
     println!("wrote {path}");
@@ -623,46 +444,8 @@ fn main() {
         }
     }
 
-    // --- Reply-prefetch arm ------------------------------------------------
-    // Three runs per variant, counterbalanced (on-off-off-on-on-off) so
-    // neither variant systematically eats the process's warm-up costs;
-    // medians plus a measured noise floor keep the verdict honest on hosts
-    // where separate server runs jitter by more than the effect size.
-    println!("\nreply prefetch A/B: 1 KiB values, pipelined lookups (median of 3)");
-    let runs: Vec<PrefetchOutcome> = [true, false, false, true, true, false]
-        .into_iter()
-        .map(run_prefetch)
-        .collect();
-    let prefetch_on = summarize_prefetch(&runs, true);
-    let prefetch_off = summarize_prefetch(&runs, false);
-    for o in [&prefetch_on, &prefetch_off] {
-        println!(
-            "prefetch {:>3}: {:>10.0} req/s   batch mean {:>8.1} us   p99 {:>6} us   (spread {:>4.1}% over {} runs)",
-            if o.enabled { "on" } else { "off" },
-            o.throughput,
-            o.batch_mean_us,
-            o.batch_p99_us,
-            o.spread * 100.0,
-            o.runs
-        );
-    }
-    println!(
-        "reply prefetch verdict: {} ({:+.1}% median throughput delta, noise floor {:.1}%)",
-        prefetch_note(&prefetch_on, &prefetch_off),
-        (prefetch_on.throughput / prefetch_off.throughput.max(1e-9) - 1.0) * 100.0,
-        prefetch_on.spread.max(prefetch_off.spread).max(0.02) * 100.0
-    );
-
     if let Some(path) = &args.json {
-        write_json(
-            path,
-            &args,
-            &scaling,
-            &churn,
-            &(prefetch_on, prefetch_off),
-            wakeup_ratio,
-            uring_real,
-        );
+        write_json(path, &args, &scaling, &churn, wakeup_ratio, uring_real);
     }
     if failed && args.strict {
         std::process::exit(1);

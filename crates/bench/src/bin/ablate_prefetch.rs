@@ -1,72 +1,59 @@
 //! Ablation: the batched, prefetch-pipelined server hot loop vs the scalar
-//! baseline.
+//! baseline, and the tagged inline bucket layout vs a chained one.
 //!
-//! Two measurements of the same mechanism, at the paper-style read-heavy
-//! mix (95 % lookups / 5 % value-replacing inserts, uniform keys):
+//! Three gated measurements at the paper-style read-heavy mix (95 %
+//! lookups / 5 % value-replacing inserts, uniform keys):
 //!
-//! 1. **Hot loop (gated)** — one thread drives one real `Partition`
-//!    through exactly the stages the server executor runs:
-//!    * `scalar`        — hash, touch memory, finish, one op at a time;
-//!    * `batched`       — prepare (hash) a whole batch, then execute it:
-//!      even without prefetches, back-to-back independent bucket walks let
-//!      the CPU overlap their misses (memory-level parallelism the scalar
-//!      loop's interleaved bookkeeping never exposes);
-//!    * `prefetch`      — prepare + software-prefetch every bucket chain
-//!      head, then execute (what `ServerPipeline::BatchedPrefetch` ships);
-//!    * `prefetch-deep` — an extra staging pass that re-reads each fetched
-//!      head and prefetches its LRU neighbors
-//!      (`Partition::prefetch_neighbors`).  Reported, not shipped: it wins
-//!      while the table fits the last-level cache and loses once the heads
-//!      themselves come from DRAM (the re-reads stall the staging pass).
+//! 1. **Hot loop** — one thread drives one real `Partition` through
+//!    exactly the stages the server executor runs, at one bucket per key:
+//!    * `scalar`   — single-phase `lookup` / `insert_copy`, one op at a
+//!      time (the pre-batching baseline);
+//!    * `batched`  — prepare (hash) a whole batch, then execute it: even
+//!      without prefetches, back-to-back independent bucket probes let the
+//!      CPU overlap their misses;
+//!    * `prefetch` — `prepare` + `prefetch_prepared` for the whole batch,
+//!      then the `*_prepared` executes (what the server ships).
 //!
-//!    All four arms are pinned to `BucketLayout::Chain` at one bucket per
-//!    key, so they remain the PR 5 baseline in its historical regime.
-//!    `--strict` exits nonzero unless `prefetch ≥ 1.1 × scalar` here —
-//!    this isolates the server mechanism, so the gate holds even on hosts
-//!    with fewer cores than benchmark threads.
+//!    `--strict` exits nonzero unless `prefetch ≥ 1.1 × scalar` — this
+//!    isolates the server mechanism, so the gate holds even on hosts with
+//!    fewer cores than benchmark threads.
 //!
-//! 1a. **Bucket layout (gated)** — the same prefetch staging loop on two
-//!    same-shaped partitions, one per `BucketLayout`, at `--load-factor`
+//! 1a. **Bucket layout** — the same prefetch staging loop on the shipped
+//!    inline `Partition` and on the bench-local chained comparator
+//!    ([`cphash_bench::chain_probe::ChainProbe`]: it reads the bucket head,
+//!    prefetches the head element, then walks), both at `--load-factor`
 //!    keys per bucket (default 4; a capacity-bound cache runs its buckets
-//!    populated).  There the chained layout's lookup is a dependent-miss
-//!    chain of element headers, while the tagged inline line still holds
-//!    every entry — one prefetched line resolves the whole common case.
+//!    populated).  There the chained lookup is a dependent-miss chain of
+//!    element records, while the tagged inline line still holds every
+//!    entry — one prefetched line resolves the whole common case.
 //!    `--strict` exits nonzero unless `inline ≥ 1.1 × chain-prefetch`.
 //!    The [`cphash_cachesim::BucketProbeModel`] prediction (expected
-//!    exposed-line reduction per probe) is printed next to the
-//!    measurement, and an `inline-deep` arm reports the
-//!    `prefetch_neighbors` second pass, which under the inline layout
-//!    re-reads only the already-prefetched bucket line.
+//!    exposed-line reduction per probe) is printed next to the measurement.
 //!
-//! 1b. **Tracing overhead (gated)** — the prefetch arm re-run with the
-//!    production [`StageSpan`] hooks compiled in.  With tracing disabled
-//!    the hooks must cost `<= 2%` (`--strict` gates `hooks-off >= 0.98 ×
-//!    hook-free`); with tracing enabled the slowdown is reported as the
-//!    documented cost of `--trace`.
+//! 1b. **Tracing overhead** — the prefetch loop with the production
+//!    [`StageSpan`] hooks compiled in, against the same loop without them
+//!    (one generic function, so the arms differ only by the hooks).  With
+//!    tracing disabled the hooks must cost `<= 2%` (`--strict` gates
+//!    `hooks-off >= 0.98 × hook-free`); with tracing enabled the slowdown
+//!    is reported as the documented cost of `--trace`.
 //!
-//! 2. **End-to-end (context, ungated)** — the full table (client threads,
-//!    rings, server threads) under `ServerPipeline::{Scalar, Batched,
-//!    BatchedPrefetch}`.  On machines with enough cores that the server
-//!    thread is the bottleneck this tracks the hot-loop ratio; on
-//!    oversubscribed hosts it mostly measures timesharing, which is why
-//!    the gate lives on the hot loop.
+//! The end-to-end cost of the shipped pipeline is measured by `perfbench`
+//! (its `inproc-dram` workload), not here.
 //!
 //! With `--json <path>` the run additionally writes its results (rates,
-//! gate ratios, model prediction, end-to-end rows) as a machine-readable
-//! JSON document, so benchmark trajectories can be tracked in-repo.
+//! gate ratios, model prediction) as a machine-readable JSON document, so
+//! benchmark trajectories can be tracked in-repo.
 //!
 //! ```text
 //! cargo run --release -p cphash-bench --bin ablate_prefetch -- \
 //!     [--keys N] [--ops N] [--batch N] [--insert-pct P] [--repeats N] \
-//!     [--e2e-ops N] [--e2e-working-set-mb N] [--skip-e2e] [--quick] \
-//!     [--strict] [--json PATH]
+//!     [--load-factor F] [--quick] [--strict] [--json PATH]
 //! ```
 
-use cphash::ServerPipeline;
+use cphash_bench::chain_probe::ChainProbe;
 use cphash_bench::xorshift64;
 use cphash_cachesim::BucketProbeModel;
-use cphash_hashcore::{BucketLayout, BucketRef, Partition, PartitionConfig};
-use cphash_loadgen::{run_cphash, DriverOptions, RunResult, WorkloadSpec};
+use cphash_hashcore::{BucketRef, Partition, PartitionConfig};
 use cphash_perfmon::trace::{self, TraceStage};
 use cphash_perfmon::{StageSpan, Stopwatch};
 
@@ -76,9 +63,6 @@ struct Args {
     batch: usize,
     insert_pct: u64,
     repeats: usize,
-    e2e_ops: u64,
-    e2e_working_set_mb: usize,
-    skip_e2e: bool,
     strict: bool,
     json: Option<String>,
     load_factor: f64,
@@ -91,9 +75,6 @@ fn parse_args() -> Args {
         batch: 64,
         insert_pct: 5,
         repeats: 3,
-        e2e_ops: 1_000_000,
-        e2e_working_set_mb: 32,
-        skip_e2e: false,
         strict: false,
         json: None,
         load_factor: 4.0,
@@ -117,19 +98,10 @@ fn parse_args() -> Args {
                     .expect("bad --repeats")
                     .max(1)
             }
-            "--e2e-ops" => args.e2e_ops = value("--e2e-ops").parse().expect("bad --e2e-ops"),
-            "--e2e-working-set-mb" => {
-                args.e2e_working_set_mb = value("--e2e-working-set-mb")
-                    .parse()
-                    .expect("bad --e2e-working-set-mb")
-            }
-            "--skip-e2e" => args.skip_e2e = true,
             "--quick" => {
                 args.keys = 1_500_000;
                 args.ops = 1_000_000;
                 args.repeats = 2;
-                args.e2e_ops = 400_000;
-                args.e2e_working_set_mb = 16;
             }
             "--strict" => args.strict = true,
             "--json" => args.json = Some(value("--json")),
@@ -137,7 +109,7 @@ fn parse_args() -> Args {
                 args.load_factor = value("--load-factor").parse().expect("bad --load-factor")
             }
             other => panic!(
-                "unknown flag {other:?} (--keys N --ops N --batch N --insert-pct P --repeats N --load-factor F --e2e-ops N --e2e-working-set-mb N --skip-e2e --quick --strict --json PATH)"
+                "unknown flag {other:?} (--keys N --ops N --batch N --insert-pct P --repeats N --load-factor F --quick --strict --json PATH)"
             ),
         }
     }
@@ -149,14 +121,12 @@ enum HotArm {
     Scalar,
     Batched,
     Prefetch,
-    PrefetchDeep,
 }
 
-const HOT_ARMS: [(HotArm, &str); 4] = [
+const HOT_ARMS: [(HotArm, &str); 3] = [
     (HotArm::Scalar, "scalar"),
     (HotArm::Batched, "batched"),
     (HotArm::Prefetch, "prefetch"),
-    (HotArm::PrefetchDeep, "prefetch-deep"),
 ];
 
 /// One hot-loop run: `ops` operations against a prefilled partition,
@@ -192,16 +162,11 @@ fn run_hot(partition: &mut Partition, arm: HotArm, args: &Args) -> f64 {
                 let r = xorshift64(&mut rng);
                 let key = r % args.keys;
                 let prep = partition.prepare(key);
-                if arm != HotArm::Batched {
+                if arm == HotArm::Prefetch {
                     partition.prefetch_prepared(&prep);
                 }
                 preps.push(prep);
                 kinds.push(r % 100 < args.insert_pct);
-            }
-            if arm == HotArm::PrefetchDeep {
-                for prep in &preps {
-                    partition.prefetch_neighbors(prep);
-                }
             }
             // Stage 2: execute the batch in order.
             for (prep, is_insert) in preps.iter().zip(kinds.iter()) {
@@ -221,12 +186,13 @@ fn run_hot(partition: &mut Partition, arm: HotArm, args: &Args) -> f64 {
     args.ops as f64 / watch.elapsed_secs()
 }
 
-/// The prefetch hot loop with the production trace hooks compiled in: one
-/// [`StageSpan`] per pipeline stage per batch, exactly like the server's
-/// staged executor.  With tracing disabled this measures the hooks' fixed
-/// cost (a relaxed load and branch per span); enabled, the cost of
-/// `--trace`.
-fn run_hot_hooked(partition: &mut Partition, args: &Args) -> f64 {
+/// The prefetch hot loop, with (`HOOKS`) or without the production trace
+/// hooks compiled in: one [`StageSpan`] per pipeline stage per batch,
+/// exactly like the server's staged executor.  Both arms of the tracing
+/// gate are this one function, so they differ only by the hooks.  With
+/// tracing disabled the hooked arm measures the hooks' fixed cost (a
+/// relaxed load and branch per span); enabled, the cost of `--trace`.
+fn run_traced<const HOOKS: bool>(partition: &mut Partition, args: &Args) -> f64 {
     let mut rng = 0x0DD0_BA11_5EED_0001u64;
     let mut value_buf: Vec<u8> = Vec::with_capacity(16);
     let mut preps: Vec<BucketRef> = Vec::with_capacity(args.batch);
@@ -237,7 +203,7 @@ fn run_hot_hooked(partition: &mut Partition, args: &Args) -> f64 {
         let n = args.batch.min((args.ops - done) as usize);
         preps.clear();
         kinds.clear();
-        let span = StageSpan::begin(TraceStage::Prepare);
+        let span = HOOKS.then(|| StageSpan::begin(TraceStage::Prepare));
         for _ in 0..n {
             let r = xorshift64(&mut rng);
             let key = r % args.keys;
@@ -246,8 +212,10 @@ fn run_hot_hooked(partition: &mut Partition, args: &Args) -> f64 {
             preps.push(prep);
             kinds.push(r % 100 < args.insert_pct);
         }
-        span.finish(n as u32);
-        let span = StageSpan::begin(TraceStage::Execute);
+        if let Some(span) = span {
+            span.finish(n as u32);
+        }
+        let span = HOOKS.then(|| StageSpan::begin(TraceStage::Execute));
         for (prep, is_insert) in preps.iter().zip(kinds.iter()) {
             if *is_insert {
                 partition
@@ -259,28 +227,44 @@ fn run_hot_hooked(partition: &mut Partition, args: &Args) -> f64 {
                 partition.decref(hit.id);
             }
         }
-        span.finish(n as u32);
+        if let Some(span) = span {
+            span.finish(n as u32);
+        }
         done += n as u64;
     }
     args.ops as f64 / watch.elapsed_secs()
 }
 
-fn run_e2e(pipeline: ServerPipeline, args: &Args) -> RunResult {
-    let spec = WorkloadSpec {
-        working_set_bytes: args.e2e_working_set_mb << 20,
-        capacity_bytes: args.e2e_working_set_mb << 20,
-        value_bytes: 8,
-        insert_ratio: args.insert_pct as f64 / 100.0,
-        operations: args.e2e_ops,
-        batch: 1_000,
-        ..Default::default()
-    };
-    let opts = DriverOptions {
-        pipeline,
-        server_batch_size: args.batch,
-        ..DriverOptions::new(1, 1)
-    };
-    run_cphash(&spec, &opts)
+/// The prefetch hot loop on the chained comparator: same key stream, same
+/// staging (prepare + prefetch the whole batch, then execute in order).
+fn run_chain(table: &mut ChainProbe, args: &Args) -> f64 {
+    let mut rng = 0x0DD0_BA11_5EED_0001u64;
+    let mut value_buf: Vec<u8> = Vec::with_capacity(16);
+    let mut preps = Vec::with_capacity(args.batch);
+    let mut kinds: Vec<bool> = Vec::with_capacity(args.batch);
+    let watch = Stopwatch::start();
+    let mut done = 0u64;
+    while done < args.ops {
+        let n = args.batch.min((args.ops - done) as usize);
+        preps.clear();
+        kinds.clear();
+        for _ in 0..n {
+            let r = xorshift64(&mut rng);
+            let prep = table.prepare(r % args.keys);
+            table.prefetch_prepared(&prep);
+            preps.push(prep);
+            kinds.push(r % 100 < args.insert_pct);
+        }
+        for (prep, is_insert) in preps.iter().zip(kinds.iter()) {
+            if *is_insert {
+                table.insert_prepared(*prep, &prep.key().to_le_bytes());
+            } else {
+                table.lookup_prepared(*prep, &mut value_buf);
+            }
+        }
+        done += n as u64;
+    }
+    args.ops as f64 / watch.elapsed_secs()
 }
 
 fn main() {
@@ -295,23 +279,19 @@ fn main() {
         );
     }
 
-    // Section 1 — the PR 5 pipeline arms, at their historical geometry
-    // (one bucket per key, chained layout): the gate that batching +
-    // prefetch pays for itself is measured in the same regime it always
-    // was.  The partition is dropped before section 2 builds its pair so
-    // peak memory stays at two tables.
+    // Section 1 — the pipeline arms at one bucket per key, on the shipped
+    // partition.  The partition is dropped before section 2 builds its
+    // pair so peak memory stays at two tables.
     let mut best = [0f64; HOT_ARMS.len()];
     {
-        let mut partition = Partition::new(
-            PartitionConfig::new(args.keys as usize, None).with_layout(BucketLayout::Chain),
-        );
+        let mut partition = Partition::new(PartitionConfig::new(args.keys as usize, None));
         for key in 0..args.keys {
             partition
                 .insert_copy(key, &key.to_le_bytes())
                 .expect("prefill");
         }
         println!(
-            "pipeline partition prefilled: {} elements over {} buckets (chain)\n",
+            "pipeline partition prefilled: {} elements over {} buckets\n",
             partition.len(),
             partition.bucket_count()
         );
@@ -338,48 +318,37 @@ fn main() {
     // per bucket (default 4: a capacity-bound cache runs its buckets
     // populated, and that is where the layouts diverge — the chained walk
     // is a dependent-miss chain, while the tagged line still holds every
-    // entry, so one prefetch covers the whole common case).  Three arms on
-    // two same-shaped partitions, interleaved:
-    //   chain-prefetch — the PR 5 pipeline on the chained layout;
-    //   inline         — the same staging on the inline layout;
-    //   inline-deep    — inline plus the `prefetch_neighbors` second pass,
-    //                    which under this layout re-reads only the bucket
-    //                    line the first pass already fetched (none of the
-    //                    chained layout's stalling head re-reads) and hints
-    //                    the tag-matched element slots.
+    // entry, so one prefetch covers the whole common case).  Two arms,
+    // interleaved:
+    //   chain-prefetch — the prefetch staging on the chained comparator;
+    //   inline         — the same staging on the shipped partition.
     let buckets = ((args.keys as f64 / args.load_factor.max(0.1)).ceil() as usize)
         .next_power_of_two()
         .max(64);
-    let mut chain_partition =
-        Partition::new(PartitionConfig::new(buckets, None).with_layout(BucketLayout::Chain));
-    let mut inline_partition =
-        Partition::new(PartitionConfig::new(buckets, None).with_layout(BucketLayout::Inline));
+    let mut chain_table = ChainProbe::new(buckets);
+    let mut inline_partition = Partition::new(PartitionConfig::new(buckets, None));
     for key in 0..args.keys {
-        chain_partition
-            .insert_copy(key, &key.to_le_bytes())
-            .expect("prefill");
+        chain_table.insert(key, &key.to_le_bytes());
         inline_partition
             .insert_copy(key, &key.to_le_bytes())
             .expect("prefill");
     }
     let load_factor = inline_partition.len() as f64 / inline_partition.bucket_count() as f64;
     println!(
-        "\nlayout partitions prefilled: {} elements over {} buckets, load factor {:.2} (chain + inline)",
+        "\nlayout tables prefilled: {} elements over {} buckets, load factor {:.2} (chain + inline)",
         inline_partition.len(),
         inline_partition.bucket_count(),
         load_factor,
     );
-    let mut layout_best = [0f64; 3];
+    let mut layout_best = [0f64; 2];
     for _ in 0..args.repeats {
-        layout_best[0] = layout_best[0].max(run_hot(&mut chain_partition, HotArm::Prefetch, &args));
+        layout_best[0] = layout_best[0].max(run_chain(&mut chain_table, &args));
         layout_best[1] =
             layout_best[1].max(run_hot(&mut inline_partition, HotArm::Prefetch, &args));
-        layout_best[2] =
-            layout_best[2].max(run_hot(&mut inline_partition, HotArm::PrefetchDeep, &args));
     }
-    drop(chain_partition);
-    const LAYOUT_ARMS: [&str; 3] = ["chain-prefetch", "inline", "inline-deep"];
-    println!("bucket layout (prefetch staging, both layouts):");
+    drop(chain_table);
+    const LAYOUT_ARMS: [&str; 2] = ["chain-prefetch", "inline"];
+    println!("bucket layout (prefetch staging, chained probe vs inline partition):");
     println!("{:<14} {:>14} {:>12}", "arm", "ops/sec", "vs chain");
     for (name, rate) in LAYOUT_ARMS.iter().zip(layout_best.iter()) {
         println!(
@@ -428,14 +397,14 @@ fn main() {
     let mut best_plain = 0f64;
     let mut best_hooks_off = 0f64;
     let mut best_hooks_on = 0f64;
-    // Measured on the inline-layout partition: that is what the shipping
-    // server executor runs.
+    // Measured on the shipped partition: that is what the server executor
+    // runs.
     for _ in 0..trace_repeats {
-        best_plain = best_plain.max(run_hot(&mut inline_partition, HotArm::Prefetch, &args));
+        best_plain = best_plain.max(run_traced::<false>(&mut inline_partition, &args));
         trace::set_trace_enabled(false);
-        best_hooks_off = best_hooks_off.max(run_hot_hooked(&mut inline_partition, &args));
+        best_hooks_off = best_hooks_off.max(run_traced::<true>(&mut inline_partition, &args));
         trace::set_trace_enabled(true);
-        best_hooks_on = best_hooks_on.max(run_hot_hooked(&mut inline_partition, &args));
+        best_hooks_on = best_hooks_on.max(run_traced::<true>(&mut inline_partition, &args));
     }
     trace::set_trace_enabled(false);
     let traced = trace::snapshot(0);
@@ -452,35 +421,6 @@ fn main() {
     );
     trace::reset();
     let trace_gate = best_hooks_off / best_plain;
-
-    let mut e2e_rows: Vec<(&'static str, f64, f64)> = Vec::new();
-    if !args.skip_e2e {
-        println!(
-            "\nend-to-end (1 client thread + 1 server thread, {} MiB working set, {} ops; context only — on hosts with fewer free cores than threads this measures timesharing, not the server loop):",
-            args.e2e_working_set_mb, args.e2e_ops
-        );
-        println!(
-            "{:<14} {:>14} {:>9} {:>12} {:>11} {:>12}",
-            "pipeline", "ops/sec", "hit-rate", "batches", "occupancy", "prefetches"
-        );
-        for pipeline in [
-            ServerPipeline::Scalar,
-            ServerPipeline::Batched,
-            ServerPipeline::BatchedPrefetch,
-        ] {
-            let result = run_e2e(pipeline, &args);
-            println!(
-                "{:<14} {:>14.0} {:>8.1}% {:>12} {:>11.1} {:>12}",
-                pipeline.as_str(),
-                result.throughput(),
-                result.hit_rate() * 100.0,
-                result.batch.batches,
-                result.batch.avg_occupancy(),
-                result.batch.prefetches,
-            );
-            e2e_rows.push((pipeline.as_str(), result.throughput(), result.hit_rate()));
-        }
-    }
 
     println!(
         "\nhot loop: batched+prefetch = {:.2}x scalar (gate: >= 1.1x)",
@@ -545,23 +485,13 @@ fn main() {
             !failed
         ));
         out.push_str(&format!(
-            "  \"bucket_probe_model\": {{\"load_factor\": {:.4}, \"inline_slots\": {}, \"chain_exposed_lines\": {:.4}, \"inline_exposed_lines\": {:.4}, \"predicted_reduction\": {:.4}}},\n",
+            "  \"bucket_probe_model\": {{\"load_factor\": {:.4}, \"inline_slots\": {}, \"chain_exposed_lines\": {:.4}, \"inline_exposed_lines\": {:.4}, \"predicted_reduction\": {:.4}}}\n}}\n",
             model.load_factor,
             model.inline_slots,
             model_chain.exposed_lines,
             model_inline.exposed_lines,
             model.exposed_miss_reduction()
         ));
-        out.push_str("  \"end_to_end\": [");
-        for (i, (name, rate, hit)) in e2e_rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"pipeline\": \"{name}\", \"ops_per_sec\": {rate:.0}, \"hit_rate\": {hit:.4}}}"
-            ));
-        }
-        out.push_str("]\n}\n");
         std::fs::write(path, out).expect("write --json output");
         println!("wrote JSON results to {path}");
     }

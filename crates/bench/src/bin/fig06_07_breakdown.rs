@@ -3,7 +3,7 @@
 //! 1 MB working-set configuration.
 //!
 //! Hardware performance counters are replaced by the software cache model in
-//! `cphash-cachesim` (see DESIGN.md §4); the harness prints the model's
+//! `cphash-cachesim` (see that crate's docs); the harness prints the model's
 //! numbers next to the paper's.
 
 use cphash_bench::{figures, HarnessArgs, MachineScale};

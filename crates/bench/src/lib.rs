@@ -14,11 +14,14 @@
 //! * [`figures`] — the sweep implementations used by the binaries.
 //! * [`paper`] — the paper's own headline numbers, printed next to measured
 //!   results for easy comparison.
+//! * [`chain_probe`] — a chained-bucket table, the comparator
+//!   `ablate_prefetch` gates the shipped inline bucket layout against.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod args;
+pub mod chain_probe;
 pub mod figures;
 pub mod live;
 pub mod paper;

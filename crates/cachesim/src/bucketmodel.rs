@@ -1,7 +1,8 @@
 //! Per-probe cache-line cost of the two bucket layouts.
 //!
-//! The tagged inline bucket layout (`cphash_hashcore::BucketLayout::Inline`)
-//! exists for one reason: under the chained layout the staged pipeline's
+//! The tagged inline bucket layout (`cphash_hashcore::Partition`'s only
+//! layout) exists for one reason: under a chained layout (bare head array,
+//! kept as a comparator in `cphash_bench::chain_probe`) the staged pipeline's
 //! prefetch pass must *read* the bucket head to learn the first element's
 //! address — a demand DRAM miss that serializes the staging loop — and a
 //! lookup then walks one element-header line per chain position.  Packing
@@ -93,8 +94,9 @@ impl BucketProbeModel {
         1.0 - (-self.load_factor.max(0.0)).exp()
     }
 
-    /// Probe cost under the chained layout (`BucketLayout::Chain`): a bare
-    /// head array, every element reached through its header line.
+    /// Probe cost under the chained layout (the bench-local
+    /// `cphash_bench::chain_probe::ChainProbe`): a bare head array, every
+    /// element reached through its header line.
     pub fn chain(&self) -> ProbeCost {
         let a = self.load_factor.max(0.0);
         let h = self.hit_rate.clamp(0.0, 1.0);
@@ -118,7 +120,7 @@ impl BucketProbeModel {
         }
     }
 
-    /// Probe cost under the tagged inline layout (`BucketLayout::Inline`).
+    /// Probe cost under the tagged inline layout (`cphash_hashcore::Partition`).
     pub fn inline(&self) -> ProbeCost {
         let a = self.load_factor.max(0.0);
         let h = self.hit_rate.clamp(0.0, 1.0);

@@ -5,8 +5,8 @@
 //! (spinlock acquire, hash-table traversal, message send/receive, …),
 //! gathered with `rdpmc` hardware performance counters and a custom kernel
 //! module.  Hardware counters are not available in this reproduction's
-//! environment, so this crate provides the substitute described in
-//! `DESIGN.md` §4: a trace-driven software model of the memory hierarchy.
+//! environment, so this crate provides a substitute: a trace-driven
+//! software model of the memory hierarchy.
 //!
 //! * [`CacheHierarchy`] models private per-hardware-thread caches (the
 //!   paper's L1+L2), per-socket shared L3 caches, and a directory that

@@ -25,7 +25,7 @@ use cphash_perfmon::trace::TraceStage;
 use cphash_perfmon::StageSpan;
 use parking_lot::Mutex;
 
-use crate::pipeline::{step_is_current, BatchExecutor, DataOp, DataOpKind, MigrationState, OpCtx};
+use crate::pipeline::{step_is_current, DataOp, DataOpKind, MigrationState, OpCtx, StagedExecutor};
 use crate::protocol::{decode_word, MigrationBatch, MigrationStep, OpCode, Response};
 use crate::router::EpochRouter;
 use crate::stats::ServerStats;
@@ -59,9 +59,8 @@ pub(crate) struct ServerThread {
     /// partition count, so the table-wide budget stays fixed as the
     /// partition count changes.
     pub capacity_total: Option<usize>,
-    /// The data-operation execution strategy (scalar baseline or the
-    /// staged batch + prefetch pipeline).
-    pub executor: Box<dyn BatchExecutor>,
+    /// The staged batch + prefetch data-operation pipeline.
+    pub executor: StagedExecutor,
     /// Pipeline depth: data operations staged per execution round.
     pub batch_size: usize,
 }
@@ -150,8 +149,8 @@ impl ServerThread {
     ///
     /// Words are consumed as alternating *runs* of data operations
     /// (lookup/insert/delete) and individual control messages.  Each run —
-    /// up to `batch_size` operations — goes through the configured
-    /// [`BatchExecutor`] as one staged round: hash + prefetch everything,
+    /// up to `batch_size` operations — goes through the
+    /// [`StagedExecutor`] as one staged round: hash + prefetch everything,
     /// then execute everything, then publish all the replies with one ring
     /// synchronization.  Control messages are executed scalar, exactly
     /// where they appeared, so the request order every client observes is
@@ -249,13 +248,7 @@ impl ServerThread {
             .operations
             .fetch_add(scratch.ops.len() as u64, Ordering::Relaxed); // relaxed: monotonic diagnostic counter; guards no data
         let span = StageSpan::begin(TraceStage::ReplyPublish);
-        if self.executor.batched_replies() {
-            self.respond_batch(lane_idx, &scratch.replies);
-        } else {
-            for response in &scratch.replies {
-                self.respond(lane_idx, *response);
-            }
-        }
+        self.respond_batch(lane_idx, &scratch.replies);
         span.finish(scratch.replies.len() as u32);
     }
 
@@ -531,7 +524,7 @@ mod tests {
             partition_stats: Arc::new(Mutex::new(PartitionStats::default())),
             router,
             capacity_total: None,
-            executor: crate::pipeline::executor_for(crate::config::ServerPipeline::default()),
+            executor: StagedExecutor::new(),
             batch_size: crate::config::DEFAULT_BATCH_SIZE,
         };
         (client, server, stop)

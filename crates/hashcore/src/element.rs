@@ -81,6 +81,11 @@ pub(crate) enum Slot {
     Free { next_free: u32 },
 }
 
+/// Bytes of one element-arena slot.  Comparators that model the arena
+/// (the chained-bucket probe in `cphash-bench`) size their records with
+/// this, so a probe there touches the same number of lines per element.
+pub const ELEMENT_SLOT_BYTES: usize = core::mem::size_of::<Slot>();
+
 impl Slot {
     pub(crate) fn element(&self) -> &Element {
         match self {

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use cphash::{CpHashConfig, MigrationPacing, ServerPipeline};
+use cphash::{CpHashConfig, MigrationPacing};
 use cphash_affinity::Topology;
 use cphash_kvserver::{AcceptPath, CpServer, CpServerConfig, FrontendKind};
 
@@ -28,8 +28,6 @@ struct Args {
     /// client-observed request p99 is elevated (alternative to the
     /// queue-depth signal).
     migrate_feedback_p99: bool,
-    /// Server hot-loop pipeline (scalar | batched | prefetch).
-    pipeline: ServerPipeline,
     /// Pipeline depth (data operations staged per batch).
     batch_size: usize,
     /// Overload shedding threshold (0 = never shed): in-flight operations
@@ -64,7 +62,6 @@ fn parse_args() -> Result<Args, String> {
         migrate_rate: 0.0,
         migrate_feedback: false,
         migrate_feedback_p99: false,
-        pipeline: ServerPipeline::from_env(),
         batch_size: cphash::config::batch_size_from_env(),
         overload_retry: 0,
         frontend: FrontendKind::from_env(),
@@ -106,7 +103,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--migrate-feedback" => args.migrate_feedback = true,
             "--migrate-feedback-p99" => args.migrate_feedback_p99 = true,
-            "--pipeline" => args.pipeline = ServerPipeline::parse(&value("--pipeline")?)?,
             "--batch-size" => {
                 args.batch_size = value("--batch-size")?
                     .parse()
@@ -140,7 +136,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--help" | "-h" => {
-                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--pipeline scalar|batched|prefetch] [--batch-size N] [--overload-retry N] [--frontend epoll|poll|uring] [--accept sharded|single] [--stats-addr HOST:PORT] [--trace] [--numa] [--max-protocol 1|2]".into())
+                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--batch-size N] [--overload-retry N] [--frontend epoll|poll|uring] [--accept sharded|single] [--stats-addr HOST:PORT] [--trace] [--numa] [--max-protocol 1|2]".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -201,7 +197,6 @@ fn main() {
         frontend: args.frontend,
         server_pins,
         max_protocol: args.max_protocol,
-        pipeline: args.pipeline,
         batch_size: args.batch_size,
         overload_retry: (args.overload_retry > 0).then_some(args.overload_retry),
         accept: args.accept,
@@ -225,14 +220,13 @@ fn main() {
         }
     };
     println!(
-        "CPSERVER listening on {} ({} partitions, {} client threads, {} MiB cache, {} front-end, {} accept, {} pipeline depth {}{})",
+        "CPSERVER listening on {} ({} partitions, {} client threads, {} MiB cache, {} front-end, {} accept, pipeline depth {}{})",
         server.addr(),
         args.partitions,
         args.client_threads,
         args.capacity_mb,
         args.frontend,
         args.accept,
-        args.pipeline,
         args.batch_size,
         if args.numa { ", NUMA pinning" } else { "" }
     );

@@ -7,10 +7,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cphash::{
-    ClientHandle, CompletionKind, CpHash, CpHashConfig, EvictionPolicy, MigrationPacing,
-    ServerPipeline,
-};
+use cphash::{ClientHandle, CompletionKind, CpHash, CpHashConfig, EvictionPolicy, MigrationPacing};
 use cphash_affinity::HwThreadId;
 use cphash_kvproto::{
     envelope, resize_chunks_per_sec, resize_partitions, ErrCode, OpKind, Status, WireKey,
@@ -123,8 +120,10 @@ pub struct CpServerConfig {
     /// request with an explicit chunks-per-second budget).
     pub migration_pacing: MigrationPacing,
     /// Front-end driving the client-thread loops: readiness-based (`epoll`,
-    /// the default, falling back to busy-poll off Linux) or the legacy
-    /// busy-poll (`poll`).
+    /// the default), io_uring completion rings (`uring`), or the legacy
+    /// busy-poll (`poll`).  Each falls back where the platform lacks it:
+    /// `uring` → `epoll` on kernels without io_uring (logged once), and
+    /// `epoll` → `poll` off Linux.  The default reads `CPHASH_FRONTEND`.
     pub frontend: FrontendKind,
     /// Accept path: per-worker `SO_REUSEPORT` listeners (the default) or
     /// the paper's single least-loaded acceptor thread.  Sharded silently
@@ -134,9 +133,6 @@ pub struct CpServerConfig {
     /// Highest kvproto version to negotiate (2 = typed ops; 1 makes the
     /// server behave like a pre-versioning build, for compatibility tests).
     pub max_protocol: u8,
-    /// How the hash-table server threads process drained operations
-    /// (staged batch + prefetch pipeline by default).
-    pub pipeline: ServerPipeline,
     /// Pipeline depth for the hash-table servers (operations staged per
     /// batch).
     pub batch_size: usize,
@@ -152,11 +148,6 @@ pub struct CpServerConfig {
     /// The default reads `CPHASH_STATS_ADDR`, so tests and CI can turn the
     /// endpoint on without touching every construction site.
     pub stats_addr: Option<SocketAddr>,
-    /// Prefetch reply value bytes between completion drain and the wire
-    /// copy (values are written by server threads on other cores, so the
-    /// copy's first touch is otherwise a cache miss per line).  Defaults
-    /// to on; `CPHASH_REPLY_PREFETCH=0` disables it for A/B runs.
-    pub reply_prefetch: bool,
 }
 
 impl Default for CpServerConfig {
@@ -175,20 +166,11 @@ impl Default for CpServerConfig {
             frontend: FrontendKind::from_env(),
             accept: AcceptPath::from_env(),
             max_protocol: cphash_kvproto::VERSION_2,
-            pipeline: ServerPipeline::from_env(),
             batch_size: cphash::config::batch_size_from_env(),
             overload_retry: None,
             stats_addr: stats_addr_from_env(),
-            reply_prefetch: reply_prefetch_from_env(),
         }
     }
-}
-
-/// The `CPHASH_REPLY_PREFETCH` environment default for
-/// [`CpServerConfig::reply_prefetch`] (`0` disables, anything else — or
-/// unset — enables).
-fn reply_prefetch_from_env() -> bool {
-    std::env::var("CPHASH_REPLY_PREFETCH").map_or(true, |v| v != "0")
 }
 
 /// The `CPHASH_STATS_ADDR` environment default for
@@ -219,7 +201,6 @@ impl CpServer {
         table_config.server_pins = config.server_pins.clone();
         table_config.max_partitions = config.max_partitions;
         table_config.migration_pacing = config.migration_pacing;
-        table_config.pipeline = config.pipeline;
         table_config.batch_size = config.batch_size;
         let (table, handles) = CpHash::new(table_config);
 
@@ -311,7 +292,6 @@ impl CpServer {
                     config.migration_pacing,
                     MigrationPacing::FeedbackLatency { .. }
                 );
-            let reply_prefetch = config.reply_prefetch;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("cpserver-client-{index}"))
@@ -328,7 +308,6 @@ impl CpServer {
                             max_protocol,
                             overload_retry,
                             record_latency,
-                            reply_prefetch,
                         )
                     })
                     .expect("spawning a client thread"),
@@ -480,18 +459,15 @@ struct ConnState {
     replies: std::collections::VecDeque<PendingReply>,
     /// Whether to clock-stamp requests for the latency window.
     stamp_latency: bool,
-    /// Whether to prefetch reply value bytes ahead of the wire copy.
-    prefetch: bool,
 }
 
 impl ConnState {
-    fn new(conn: Connection, stamp_latency: bool, prefetch: bool) -> Self {
+    fn new(conn: Connection, stamp_latency: bool) -> Self {
         ConnState {
             conn,
             next_seq: 0,
             replies: std::collections::VecDeque::new(),
             stamp_latency,
-            prefetch,
         }
     }
 
@@ -536,14 +512,14 @@ impl ConnState {
         // flush time; hints on still-resident lines are a cycle each, so
         // the pass is near-free when nothing cooled (the cross-core miss
         // itself is hidden earlier, by `pump_lane`'s batched prefetch over
-        // the response pointers).
-        if self.prefetch {
-            for entry in self.replies.iter() {
-                let ReplyState::Done(reply) = &entry.state else {
-                    break; // the flush loop stops at the first non-Done too
-                };
-                prefetch_value_lines(reply.value.as_slice());
-            }
+        // the response pointers).  Values are written by server threads on
+        // other cores, so without the hint the copy's first touch of each
+        // line is a cache miss.
+        for entry in self.replies.iter() {
+            let ReplyState::Done(reply) = &entry.state else {
+                break; // the flush loop stops at the first non-Done too
+            };
+            prefetch_value_lines(reply.value.as_slice());
         }
         let mut wrote = 0usize;
         while matches!(
@@ -634,7 +610,6 @@ fn client_worker(
     max_protocol: u8,
     overload_retry: Option<usize>,
     record_latency: bool,
-    reply_prefetch: bool,
 ) {
     let mut reactor = Reactor::new(frontend, Arc::clone(&metrics.frontend));
     if let Some(fd) = inbox.waker.fd() {
@@ -706,7 +681,7 @@ fn client_worker(
                     &mut connections,
                     &mut reactor,
                     &mut ready,
-                    ConnState::new(conn, record_latency, reply_prefetch),
+                    ConnState::new(conn, record_latency),
                     |state| &state.conn,
                 )
             });
@@ -734,7 +709,7 @@ fn client_worker(
                                 &mut connections,
                                 &mut reactor,
                                 &mut ready,
-                                ConnState::new(conn, record_latency, reply_prefetch),
+                                ConnState::new(conn, record_latency),
                                 |state| &state.conn,
                             )
                         });
@@ -1291,7 +1266,6 @@ mod tests {
     #[test]
     fn batch_pipeline_counters_are_visible_through_metrics() {
         let mut server = CpServer::start(CpServerConfig {
-            pipeline: cphash::ServerPipeline::BatchedPrefetch,
             batch_size: 16,
             ..Default::default()
         })

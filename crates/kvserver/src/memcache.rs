@@ -7,8 +7,8 @@
 //! instances."  Stock memcached is a C program outside this reproduction's
 //! scope; what the comparison actually exercises is its *structure* — one
 //! coarse lock per instance, a thread per connection, no batching of
-//! hash-table work — so that is what [`MemcacheCluster`] reproduces (the
-//! substitution is documented in `DESIGN.md` §4).
+//! hash-table work — so that is what [`MemcacheCluster`] reproduces, as a
+//! stand-in for the C program rather than a port of it.
 //!
 //! Each instance owns a single [`cphash_hashcore::Partition`] behind one
 //! global mutex and serves every connection from one instance thread
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cphash_hashcore::{BucketLayout, EvictionPolicy, Partition, PartitionConfig};
+use cphash_hashcore::{EvictionPolicy, Partition, PartitionConfig};
 use cphash_kvproto::{envelope, ErrCode, OpKind, Reply, Status};
 use parking_lot::Mutex;
 
@@ -126,7 +126,6 @@ impl MemcacheCluster {
                 seed: 0x4D45_4D43 ^ index as u64,
                 // The memcached-style baseline never migrates.
                 migration_chunks: 1,
-                layout: BucketLayout::from_env(),
             })));
             instances.push(Instance {
                 addr,

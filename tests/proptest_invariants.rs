@@ -131,57 +131,78 @@ proptest! {
     }
 
     #[test]
-    fn inline_and_chain_partitions_are_observably_identical(
+    fn inline_partition_matches_an_lru_model(
         ops in prop::collection::vec(partition_op(), 1..400),
         capacity in prop::option::of(128usize..512),
     ) {
-        use cphash_suite::hashcore::BucketLayout;
-        // Eight buckets under a 64-key space forces every inline bucket
-        // line past its seven tagged slots, so overflow chaining and
-        // slot promotion are exercised, not just the fast path.
-        let mut chain = Partition::new(
-            PartitionConfig::new(8, capacity).with_layout(BucketLayout::Chain),
-        );
-        let mut inline = Partition::new(
-            PartitionConfig::new(8, capacity).with_layout(BucketLayout::Inline),
-        );
+        // Eight buckets under a 64-key space forces every bucket line past
+        // its seven tagged slots, so overflow chaining and slot promotion
+        // are exercised, not just the fast path.  The model is a map plus
+        // a recency list (least recent first) and the allocator's byte
+        // accounting: an insert first drops the key's old value, then
+        // evicts from the least recent end until the new block fits — or,
+        // when it can never fit, evicts everything and fails.
+        let mut partition = Partition::new(PartitionConfig::new(8, capacity));
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut recency: Vec<u64> = Vec::new();
+        let mut used = 0usize;
+        let block = |len: usize| SlabAllocator::block_bytes_for(len);
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 PartitionOp::Insert { key, len } => {
                     let value: Vec<u8> = (0..len).map(|b| (b as u8) ^ (i as u8)).collect();
-                    let a = chain.insert_copy(key, &value);
-                    let b = inline.insert_copy(key, &value);
-                    prop_assert_eq!(a.is_ok(), b.is_ok(), "insert outcome diverged for key {}", key);
+                    if let Some(old) = model.remove(&key) {
+                        used -= block(old.len());
+                        recency.retain(|&k| k != key);
+                    }
+                    let budget = capacity.unwrap_or(usize::MAX);
+                    while used + block(len) > budget && !recency.is_empty() {
+                        let victim = recency.remove(0);
+                        used -= block(model.remove(&victim).expect("victim present").len());
+                    }
+                    let fits = used + block(len) <= budget;
+                    if fits {
+                        used += block(len);
+                        model.insert(key, value.clone());
+                        recency.push(key);
+                    }
+                    let inserted = partition.insert_copy(key, &value).is_ok();
+                    prop_assert_eq!(inserted, fits, "insert outcome diverged for key {}", key);
                 }
                 PartitionOp::Lookup { key } => {
-                    let mut buf_a = Vec::new();
-                    let mut buf_b = Vec::new();
-                    let hit_a = chain.lookup_copy(key, &mut buf_a);
-                    let hit_b = inline.lookup_copy(key, &mut buf_b);
-                    prop_assert_eq!(hit_a, hit_b, "hit/miss diverged for key {}", key);
-                    prop_assert_eq!(buf_a, buf_b, "values diverged for key {}", key);
+                    let mut buf = Vec::new();
+                    let hit = partition.lookup_copy(key, &mut buf);
+                    match model.get(&key) {
+                        Some(expected) => {
+                            prop_assert!(hit, "key {} should hit", key);
+                            prop_assert_eq!(&buf, expected, "value diverged for key {}", key);
+                            recency.retain(|&k| k != key);
+                            recency.push(key);
+                        }
+                        None => prop_assert!(!hit, "key {} should miss", key),
+                    }
                 }
                 PartitionOp::Delete { key } => {
-                    prop_assert_eq!(chain.delete(key), inline.delete(key));
+                    let present = model.remove(&key);
+                    if let Some(old) = &present {
+                        used -= block(old.len());
+                        recency.retain(|&k| k != key);
+                    }
+                    prop_assert_eq!(partition.delete(key), present.is_some());
                 }
             }
-            chain.check_invariants();
-            inline.check_invariants();
+            partition.check_invariants();
         }
-        prop_assert_eq!(chain.len(), inline.len());
-        prop_assert_eq!(chain.bytes_in_use(), inline.bytes_in_use());
-        // The layouts must also report themselves honestly: bucket-line
-        // counters only ever tick under the inline layout.
-        let chain_stats = chain.stats();
-        prop_assert_eq!(chain_stats.inline_hits, 0);
-        prop_assert_eq!(chain_stats.overflow_probes, 0);
-        prop_assert_eq!(chain_stats.tag_false_positives, 0);
-        let inline_stats = inline.stats();
-        prop_assert_eq!(inline_stats.hits, chain_stats.hits);
-        if inline_stats.hits > 0 {
+        prop_assert_eq!(partition.len(), model.len());
+        prop_assert_eq!(partition.bytes_in_use(), used);
+        prop_assert_eq!(partition.lru_order(), recency);
+        // Hits are served from the bucket lines: the tagged slots or the
+        // overflow chain behind them.
+        let stats = partition.stats();
+        if stats.hits > 0 {
             prop_assert!(
-                inline_stats.inline_hits + inline_stats.overflow_probes > 0,
-                "inline layout served hits without touching bucket lines"
+                stats.inline_hits + stats.overflow_probes > 0,
+                "hits served without touching bucket lines"
             );
         }
     }

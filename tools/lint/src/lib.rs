@@ -1,6 +1,7 @@
-//! Repo-local static lint pass for concurrency hygiene.
+//! Repo-local static lint pass for concurrency hygiene and configuration
+//! surface.
 //!
-//! Four rules, all line-oriented (see [`RULES`]):
+//! Five rules, all line-oriented (see [`RULES`]):
 //!
 //! 1. `raw-atomic` — no `std::sync::atomic` / `core::sync::atomic` imports
 //!    or paths outside the `cphash-sync` facade.  Everything goes through
@@ -12,6 +13,10 @@
 //!    `// SAFETY: …` comment (same line or in the comment block directly above).
 //! 4. `hot-path` — files tagged `// cphash-lint: hot-path` must not call
 //!    panicking or allocating constructs on shipped lines.
+//! 5. `env-knob` — every `"CPHASH_…"` string literal on a shipped line
+//!    names a knob listed in the README's "Environment knobs" table, and
+//!    the table lists no knob that shipped code no longer reads (see
+//!    [`lint_env_knobs`]).
 //!
 //! Escapes: a `// lint: allow(<rule>)` comment on the line itself or in the
 //! contiguous comment block directly above waives that rule for that line;
@@ -28,11 +33,12 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Names of the rules, in evaluation order.
-pub const RULES: [&str; 4] = [
+pub const RULES: [&str; 5] = [
     "raw-atomic",
     "relaxed-justification",
     "safety-comment",
     "hot-path",
+    "env-knob",
 ];
 
 /// One lint finding.
@@ -110,6 +116,32 @@ fn code_portion(line: &str) -> (String, String) {
         }
     }
     (code, comment)
+}
+
+/// The contents of the string literals on `line`, lexed the same way as
+/// [`code_portion`] (so quotes inside `//` comments are not literals).
+fn string_literals(line: &str) -> Vec<String> {
+    let mut literals = Vec::new();
+    let mut current: Option<String> = None;
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        if let Some(lit) = current.as_mut() {
+            match c {
+                '\\' => {
+                    chars.next();
+                }
+                '"' => literals.extend(current.take()),
+                _ => lit.push(c),
+            }
+            continue;
+        }
+        match c {
+            '"' => current = Some(String::new()),
+            '/' if chars.peek() == Some(&'/') => break,
+            _ => {}
+        }
+    }
+    literals
 }
 
 /// Does the contiguous run of `//` comment lines directly above line `i`
@@ -253,6 +285,100 @@ pub fn lint_source(path: &Path, source: &str) -> Vec<Violation> {
     out
 }
 
+/// The knob a string literal names, if it starts with `CPHASH_`: the
+/// longest `[A-Z0-9_]` prefix (so `"CPHASH_FRONTEND: {e}"` names
+/// `CPHASH_FRONTEND`).
+fn knob_name(text: &str) -> Option<&str> {
+    if !text.starts_with("CPHASH_") {
+        return None;
+    }
+    let end = text
+        .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+        .unwrap_or(text.len());
+    Some(&text[..end])
+}
+
+/// The knobs listed in the README's "Environment knobs" table, with their
+/// 1-based README line numbers: every table row of that section whose
+/// first cell is a `CPHASH_…` name.
+fn documented_knobs(readme: &str) -> Vec<(usize, String)> {
+    let mut knobs = Vec::new();
+    let mut in_section = false;
+    for (i, line) in readme.lines().enumerate() {
+        if line.starts_with("## ") {
+            in_section = line.trim_end() == "## Environment knobs";
+            continue;
+        }
+        if !in_section {
+            continue;
+        }
+        let Some(row) = line.trim_start().strip_prefix('|') else {
+            continue;
+        };
+        let cell = row.split('|').next().unwrap_or("").trim().trim_matches('`');
+        if let Some(name) = knob_name(cell) {
+            knobs.push((i + 1, name.to_string()));
+        }
+    }
+    knobs
+}
+
+/// Rule 5 (`env-knob`) over a whole tree: `sources` are `(path, contents)`
+/// of the shipped files, `readme` the README at `readme_path`.  A knob
+/// literal on a shipped line (outside `#[cfg(test)]` regions, not waived)
+/// must be documented; a documented knob must be read by some such line.
+pub fn lint_env_knobs(
+    sources: &[(PathBuf, String)],
+    readme_path: &Path,
+    readme: &str,
+) -> Vec<Violation> {
+    let documented = documented_knobs(readme);
+    let mut read: Vec<(PathBuf, usize, String)> = Vec::new();
+    for (path, source) in sources {
+        let lines: Vec<&str> = source.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            if line.trim_start().starts_with("#[cfg(test)]") {
+                break;
+            }
+            let (_, comment) = code_portion(line);
+            if waived(&lines, i, &comment, "env-knob") {
+                continue;
+            }
+            for literal in string_literals(line) {
+                if let Some(name) = knob_name(&literal) {
+                    read.push((path.clone(), i + 1, name.to_string()));
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (file, line, name) in &read {
+        if !documented.iter().any(|(_, d)| d == name) {
+            out.push(Violation {
+                file: file.clone(),
+                line: *line,
+                rule: "env-knob",
+                message: format!(
+                    "`{name}` is read here but missing from the README's Environment knobs table"
+                ),
+            });
+        }
+    }
+    for (line, name) in &documented {
+        if !read.iter().any(|(_, _, r)| r == name) {
+            out.push(Violation {
+                file: readme_path.to_path_buf(),
+                line: *line,
+                rule: "env-knob",
+                message: format!(
+                    "the Environment knobs table lists `{name}`, which no shipped code reads"
+                ),
+            });
+        }
+    }
+    out
+}
+
 fn is_excluded(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
     p.contains("/vendor/")
@@ -300,6 +426,7 @@ pub fn run(root: &Path) -> std::io::Result<Report> {
     files.sort();
 
     let mut report = Report::default();
+    let mut sources = Vec::with_capacity(files.len());
     for file in &files {
         let source = std::fs::read_to_string(file)?;
         let rel = file.strip_prefix(root).unwrap_or(file);
@@ -310,7 +437,13 @@ pub fn run(root: &Path) -> std::io::Result<Report> {
                 v
             }));
         report.files_checked += 1;
+        sources.push((rel.to_path_buf(), source));
     }
+    // A missing README documents nothing, so every knob read is flagged.
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
+    report
+        .violations
+        .extend(lint_env_knobs(&sources, Path::new("README.md"), &readme));
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -404,6 +537,82 @@ fn f(x: Option<u32>) -> u32 {
         assert!(lint_str("crates/core/src/x.rs", tagged).is_empty());
         let untagged = "let v = x.unwrap();\n";
         assert!(lint_str("crates/core/src/x.rs", untagged).is_empty());
+    }
+
+    /// A README fixture documenting two knobs, one of them stale.
+    const KNOB_README: &str = "\
+# demo
+
+## Environment knobs
+
+| Knob | Effect |
+|------|--------|
+| `CPHASH_FRONTEND` | front-end |
+| `CPHASH_GONE` | no longer read |
+
+## Next section
+
+| `CPHASH_ELSEWHERE` | a table outside the section is not the knob table |
+";
+
+    fn knob_lint(src: &str) -> Vec<Violation> {
+        let sources = [(PathBuf::from("crates/demo/src/x.rs"), src.to_string())];
+        lint_env_knobs(&sources, Path::new("README.md"), KNOB_README)
+    }
+
+    #[test]
+    fn documented_knobs_come_from_the_section_table_only() {
+        let knobs = documented_knobs(KNOB_README);
+        assert_eq!(
+            knobs,
+            [
+                (7, "CPHASH_FRONTEND".to_string()),
+                (8, "CPHASH_GONE".to_string())
+            ]
+        );
+    }
+
+    #[test]
+    fn env_knob_flags_undocumented_reads_and_stale_rows() {
+        let src = "\
+// A comment naming \"CPHASH_IN_COMMENT\" is not a read.
+let f = std::env::var(\"CPHASH_FRONTEND\");
+let e = panic!(\"CPHASH_FRONTEND: {e}\");
+let u = std::env::var(\"CPHASH_UNDOCUMENTED\");
+";
+        let v = knob_lint(src);
+        let found: Vec<(String, usize, &str)> = v
+            .iter()
+            .map(|v| (v.file.display().to_string(), v.line, v.rule))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("crates/demo/src/x.rs".to_string(), 4, "env-knob"),
+                ("README.md".to_string(), 8, "env-knob"),
+            ]
+        );
+        assert!(v[0].message.contains("CPHASH_UNDOCUMENTED"));
+        assert!(v[1].message.contains("CPHASH_GONE"));
+    }
+
+    #[test]
+    fn env_knob_ignores_test_regions_and_honors_waivers() {
+        let src = "\
+let f = std::env::var(\"CPHASH_FRONTEND\");
+let g = std::env::var(\"CPHASH_GONE\");
+// lint: allow(env-knob) fixture name, never read from the environment
+let w = \"CPHASH_WAIVED\";
+#[cfg(test)]
+mod tests {
+    fn t() { std::env::set_var(\"CPHASH_TEST_ONLY\", \"1\"); }
+}
+";
+        assert!(knob_lint(src).is_empty());
+        // A knob read only in test code does not keep its row alive.
+        let test_only = "#[cfg(test)]\nmod t { fn f() { std::env::var(\"CPHASH_GONE\"); } }\n";
+        let rows: Vec<usize> = knob_lint(test_only).iter().map(|v| v.line).collect();
+        assert_eq!(rows, [7, 8]);
     }
 
     #[test]
