@@ -1,26 +1,27 @@
-//! Connection acceptance: sharded `SO_REUSEPORT` listeners or a single
-//! least-connections acceptor thread.
+//! Connection acceptance: every worker's front door.
 //!
 //! "The CPSERVER also has an additional thread that accepts new connections.
 //! When a connection is made, it is assigned to a client thread with the
 //! smallest number of current active connections." (§4.1)
 //!
 //! That single acceptor serializes every accept: under a connection-churn
-//! storm one thread (and one listen queue) throttles the whole server.  The
-//! default accept path is therefore **sharded** ([`AcceptPath::Sharded`]):
-//! every worker binds its own `SO_REUSEPORT` listener on the same address
-//! and the kernel load-balances incoming connections across them — no
-//! hand-off thread, no cross-thread wake-up, and with the io_uring
-//! front-end the accept itself happens in-kernel (multishot accept).  The
-//! paper's least-connections balancing remains available as
-//! [`AcceptPath::Single`] (`--accept single` / `CPHASH_ACCEPT=single`),
-//! and is the automatic fallback where `SO_REUSEPORT` sharding cannot be
-//! built (non-Linux hosts, non-IPv4 binds).
+//! storm one thread (and one listen queue) throttles the whole server.  On
+//! Linux with an IPv4 bind, every worker therefore binds its own
+//! `SO_REUSEPORT` listener on the same address and the kernel load-balances
+//! incoming connections across them — no hand-off thread, no cross-thread
+//! wake-up, and with the io_uring front-end the accept itself happens
+//! in-kernel (multishot accept).  Where that listener set cannot be built
+//! (non-Linux hosts, non-IPv4 binds), `open_front_doors` falls back to the
+//! paper's least-loaded acceptor thread on its own; nothing selects it.
 //!
-//! The single-acceptor hand-off is event-aware: each worker slot carries a
+//! The acceptor's hand-off is event-aware: each worker slot carries a
 //! [`Waker`], so a worker sleeping in its reactor's `epoll_wait` is woken
 //! the moment a connection is assigned to it instead of discovering it on a
 //! poll tick.
+//!
+//! Either way a worker sees one `FrontDoor`: it registers the worker's
+//! listener or waker, and adopts whatever arrived into the worker's
+//! connection slab.
 
 use cphash_sync::atomic::plain::{AtomicBool, AtomicUsize, Ordering};
 use std::io;
@@ -30,66 +31,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::reactor::{FrontendKind, Reactor, Waker};
-
-/// How a server's listening socket feeds its workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AcceptPath {
-    /// Per-worker `SO_REUSEPORT` listeners; the kernel load-balances
-    /// accepts across workers.  Falls back to [`AcceptPath::Single`] where
-    /// the sharded listener set cannot be built.
-    #[default]
-    Sharded,
-    /// One acceptor thread assigning each connection to the least-loaded
-    /// worker (the paper's §4.1 design).
-    Single,
-}
-
-impl AcceptPath {
-    /// Parse an `--accept` flag value.
-    pub fn parse(s: &str) -> Result<AcceptPath, String> {
-        match s {
-            "sharded" | "reuseport" => Ok(AcceptPath::Sharded),
-            "single" | "acceptor" => Ok(AcceptPath::Single),
-            other => Err(format!(
-                "unknown accept path {other:?} (expected sharded|single)"
-            )),
-        }
-    }
-
-    /// The flag spelling of this path.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AcceptPath::Sharded => "sharded",
-            AcceptPath::Single => "single",
-        }
-    }
-
-    /// Default for this process: `CPHASH_ACCEPT` if set, otherwise sharded.
-    /// An invalid value panics, for the same reason `CPHASH_FRONTEND` does:
-    /// the variable exists to force a specific path in CI matrices, and a
-    /// typo that silently picked the default would compare a path against
-    /// itself.
-    pub fn from_env() -> AcceptPath {
-        match std::env::var("CPHASH_ACCEPT") {
-            Ok(v) => AcceptPath::parse(v.trim().to_ascii_lowercase().as_str())
-                .unwrap_or_else(|e| panic!("CPHASH_ACCEPT: {e}")),
-            Err(_) => AcceptPath::default(),
-        }
-    }
-}
-
-impl core::fmt::Display for AcceptPath {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+use crate::connection::{adopt, Connection};
+use crate::metrics::{FrontendStats, ServerMetrics};
+use crate::reactor::{raw_fd_of, FrontendKind, Reactor, Waker, LISTENER_TOKEN, WAKER_TOKEN};
 
 /// Build one non-blocking `SO_REUSEPORT` listener per shard, all bound to
 /// `bind` (port 0 picks a port on the first listener; the rest join it).
 /// Returns the resolved address plus the listener set, or an error where
-/// reuseport sharding is unavailable (non-Linux, non-IPv4 bind) — callers
-/// fall back to [`spawn_acceptor`].
+/// reuseport sharding is unavailable (non-Linux, non-IPv4 bind) —
+/// `open_front_doors` then falls back to [`spawn_acceptor`].
 pub fn shard_listeners(
     bind: SocketAddr,
     shards: usize,
@@ -184,16 +134,11 @@ fn reuseport_listener(ip: std::net::Ipv4Addr, port: u16) -> io::Result<TcpListen
 /// listener: from the reactor's in-kernel accept queue when the backend
 /// owns accepting (io_uring multishot accept), otherwise via non-blocking
 /// `accept(2)` until `WouldBlock`.
-pub fn drain_accepts(
-    listener: &TcpListener,
-    reactor: &mut Reactor,
-    token: usize,
-    out: &mut Vec<TcpStream>,
-) {
+fn drain_accepts(listener: &TcpListener, reactor: &mut Reactor, out: &mut Vec<TcpStream>) {
     #[cfg(unix)]
     {
         let mut fds: Vec<crate::reactor::RawFd> = Vec::new();
-        if reactor.take_accepted(token, &mut fds) {
+        if reactor.take_accepted(LISTENER_TOKEN, &mut fds) {
             for fd in fds {
                 // SAFETY: the backend accepted this fd in-kernel and hands
                 // ownership over exactly once, here.
@@ -314,6 +259,147 @@ pub fn spawn_acceptor(
         })
         .expect("spawning the acceptor thread");
     Ok((addr, handle))
+}
+
+/// Where one worker's new connections come from.
+enum Source {
+    /// The worker's own listener (sharded `SO_REUSEPORT`, or a memcached
+    /// instance's port).
+    Listener(TcpListener),
+    /// Hand-offs from the acceptor thread.
+    Inbox(WorkerInbox),
+}
+
+/// A worker's front door: what it accepts from, plus the buffer accepted
+/// streams pass through on their way into the worker's connection slab.
+pub(crate) struct FrontDoor {
+    source: Source,
+    accepted: Vec<TcpStream>,
+}
+
+impl FrontDoor {
+    fn new(source: Source) -> FrontDoor {
+        FrontDoor {
+            source,
+            accepted: Vec::new(),
+        }
+    }
+
+    /// A door onto the worker's own listener.
+    pub(crate) fn listener(listener: TcpListener) -> FrontDoor {
+        FrontDoor::new(Source::Listener(listener))
+    }
+
+    /// Build the worker's reactor with this door watched on it: the
+    /// listener under [`LISTENER_TOKEN`] (the io_uring backend then accepts
+    /// in-kernel), or the inbox's waker under [`WAKER_TOKEN`].  An
+    /// unwatched listener would still get its share of connections from
+    /// the kernel and leave them hanging, so a failed registration is the
+    /// caller's start-up error.
+    pub(crate) fn reactor(
+        &self,
+        frontend: FrontendKind,
+        stats: Arc<FrontendStats>,
+    ) -> io::Result<Reactor> {
+        let mut reactor = Reactor::new(frontend, stats);
+        match &self.source {
+            Source::Listener(l) => reactor.register_listener(raw_fd_of(l), LISTENER_TOKEN)?,
+            Source::Inbox(inbox) => {
+                if let Some(fd) = inbox.waker.fd() {
+                    reactor.register(fd, WAKER_TOKEN, false)?;
+                }
+            }
+        }
+        Ok(reactor)
+    }
+
+    /// Adopt every connection waiting at the door into `slab` (see
+    /// [`adopt`]), pushing the new tokens onto `ready` so bytes that
+    /// arrived before registration are served this pass.  `open` wraps an
+    /// accepted stream in the slab's element type, `conn_of` projects it
+    /// back to its [`Connection`].  Returns whether anything was adopted.
+    pub(crate) fn admit<T>(
+        &mut self,
+        reactor: &mut Reactor,
+        ready: &mut Vec<usize>,
+        slab: &mut Vec<Option<T>>,
+        metrics: &ServerMetrics,
+        open: impl Fn(TcpStream) -> io::Result<T>,
+        conn_of: impl Fn(&T) -> &Connection,
+    ) -> bool {
+        let mut accepted = std::mem::take(&mut self.accepted);
+        match &self.source {
+            Source::Listener(l) => {
+                if ready.contains(&LISTENER_TOKEN) {
+                    drain_accepts(l, reactor, &mut accepted);
+                }
+            }
+            Source::Inbox(inbox) => {
+                // The waker must be drained *before* the channel is polled:
+                // drained after, a hand-off landing between the two steps
+                // would have its wake-up consumed and sit unadopted through
+                // the next sleep.  The channel itself is checked every pass.
+                if ready.contains(&WAKER_TOKEN) {
+                    inbox.waker.drain();
+                }
+                accepted.extend(inbox.receiver.try_iter());
+            }
+        }
+        let mut adopted_any = false;
+        for stream in accepted.drain(..) {
+            if open(stream).is_ok_and(|item| adopt(slab, reactor, ready, item, &conn_of)) {
+                metrics.note_connection();
+                adopted_any = true;
+            } else {
+                self.retire();
+            }
+        }
+        self.accepted = accepted;
+        adopted_any
+    }
+
+    /// A connection that came through this door is gone: give its share of
+    /// the acceptor's load-balance gauge back.
+    pub(crate) fn retire(&self) {
+        if let Source::Inbox(inbox) = &self.source {
+            inbox.active.fetch_sub(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
+        }
+    }
+}
+
+/// A worker's front door and the reactor already watching it.
+pub(crate) type WatchedDoor = (FrontDoor, Reactor);
+
+/// Open one front door per worker on `bind`, each with the worker's
+/// reactor already watching it: a sharded `SO_REUSEPORT` listener per
+/// worker, or — only where [`shard_listeners`] cannot build that set
+/// (non-Linux, non-IPv4 bind) — inboxes fed by the paper's least-loaded
+/// acceptor thread, which exits once `stop` is raised.  Returns the bound
+/// address, the doors in worker order and the acceptor's join handle when
+/// one runs.  Every fallible step happens before the acceptor spawns, so an
+/// error leaves no thread behind.
+pub(crate) fn open_front_doors(
+    bind: SocketAddr,
+    workers: usize,
+    frontend: FrontendKind,
+    stats: &Arc<FrontendStats>,
+    stop: &Arc<AtomicBool>,
+) -> io::Result<(SocketAddr, Vec<WatchedDoor>, Option<JoinHandle<()>>)> {
+    let watched = |source| {
+        let door = FrontDoor::new(source);
+        let reactor = door.reactor(frontend, Arc::clone(stats))?;
+        Ok((door, reactor))
+    };
+    if let Ok((addr, listeners)) = shard_listeners(bind, workers) {
+        let doors = listeners.into_iter().map(Source::Listener).map(watched);
+        return Ok((addr, doors.collect::<io::Result<_>>()?, None));
+    }
+    let listener = TcpListener::bind(bind)?;
+    let (slots, inboxes) = worker_channels(workers, frontend);
+    let doors = inboxes.into_iter().map(Source::Inbox).map(watched);
+    let doors = doors.collect::<io::Result<_>>()?;
+    let (addr, acceptor) = spawn_acceptor(listener, slots, Arc::clone(stop))?;
+    Ok((addr, doors, Some(acceptor)))
 }
 
 #[cfg(test)]

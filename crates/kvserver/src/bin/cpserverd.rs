@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use cphash::{CpHashConfig, MigrationPacing};
 use cphash_affinity::Topology;
-use cphash_kvserver::{AcceptPath, CpServer, CpServerConfig, FrontendKind};
+use cphash_kvserver::{CpServer, CpServerConfig, FrontendKind};
 
 struct Args {
     port: u16,
@@ -35,8 +35,6 @@ struct Args {
     overload_retry: usize,
     /// Front-end driving the client threads (epoll | poll | uring).
     frontend: FrontendKind,
-    /// Accept path (sharded SO_REUSEPORT listeners | single acceptor).
-    accept: AcceptPath,
     /// NUMA-aware server placement: pin every spawnable server thread
     /// (including ones only activated by a later grow) per the detected
     /// topology.
@@ -65,7 +63,6 @@ fn parse_args() -> Result<Args, String> {
         batch_size: cphash::config::batch_size_from_env(),
         overload_retry: 0,
         frontend: FrontendKind::from_env(),
-        accept: AcceptPath::from_env(),
         numa: false,
         max_protocol: cphash_kvproto::VERSION_2,
         stats_addr: None,
@@ -117,7 +114,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad overload-retry: {e}"))?
             }
             "--frontend" => args.frontend = FrontendKind::parse(&value("--frontend")?)?,
-            "--accept" => args.accept = AcceptPath::parse(&value("--accept")?)?,
             "--stats-addr" => {
                 args.stats_addr = Some(
                     value("--stats-addr")?
@@ -136,7 +132,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--help" | "-h" => {
-                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--batch-size N] [--overload-retry N] [--frontend epoll|poll|uring] [--accept sharded|single] [--stats-addr HOST:PORT] [--trace] [--numa] [--max-protocol 1|2]".into())
+                return Err("usage: cpserverd [--port N] [--partitions N] [--max-partitions N] [--client-threads N] [--capacity-mb N] [--stats-secs N] [--migrate-rate CHUNKS_PER_SEC] [--migrate-feedback] [--migrate-feedback-p99] [--batch-size N] [--overload-retry N] [--frontend epoll|poll|uring] [--stats-addr HOST:PORT] [--trace] [--numa] [--max-protocol 1|2]".into())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -199,7 +195,6 @@ fn main() {
         max_protocol: args.max_protocol,
         batch_size: args.batch_size,
         overload_retry: (args.overload_retry > 0).then_some(args.overload_retry),
-        accept: args.accept,
         ..Default::default()
     };
     // --stats-addr overrides the CPHASH_STATS_ADDR default already folded
@@ -220,13 +215,12 @@ fn main() {
         }
     };
     println!(
-        "CPSERVER listening on {} ({} partitions, {} client threads, {} MiB cache, {} front-end, {} accept, pipeline depth {}{})",
+        "CPSERVER listening on {} ({} partitions, {} client threads, {} MiB cache, {} front-end, pipeline depth {}{})",
         server.addr(),
         args.partitions,
         args.client_threads,
         args.capacity_mb,
         args.frontend,
-        args.accept,
         args.batch_size,
         if args.numa { ", NUMA pinning" } else { "" }
     );

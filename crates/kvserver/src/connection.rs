@@ -225,7 +225,7 @@ pub(crate) fn slab_insert<T>(slab: &mut Vec<Option<T>>, item: T) -> usize {
 /// free slot, register it with the reactor under that slot, and push the
 /// slot onto `ready` so any bytes that arrived before registration are
 /// served this pass.  On registration failure the slot is rolled back and
-/// `false` returned (the caller owns any accept-side accounting).
+/// `false` returned (the front door owns any accept-side accounting).
 ///
 /// `conn_of` projects the slab element to its [`Connection`] (identity for
 /// plain slabs; the `ConnState` wrapper for CPSERVER).

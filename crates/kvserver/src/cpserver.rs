@@ -2,7 +2,7 @@
 
 use cphash_sync::atomic::plain::{AtomicBool, Ordering};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -15,12 +15,10 @@ use cphash_kvproto::{
 use cphash_migrate::{MigrationPacer, RepartitionCoordinator};
 use cphash_perfmon::SharedLatencyWindow;
 
-use crate::acceptor::{
-    drain_accepts, shard_listeners, spawn_acceptor, worker_channels, AcceptPath, WorkerInbox,
-};
+use crate::acceptor::{open_front_doors, FrontDoor};
 use crate::connection::Connection;
 use crate::metrics::{MigrationProgress, ServerMetrics};
-use crate::reactor::{raw_fd_of, FrontendKind, Reactor, LISTENER_TOKEN, WAKER_TOKEN};
+use crate::reactor::{FrontendKind, Reactor};
 use crate::stats_http::spawn_stats_listener;
 
 /// An admin resize request in flight from a client thread to the admin
@@ -125,11 +123,6 @@ pub struct CpServerConfig {
     /// `uring` → `epoll` on kernels without io_uring (logged once), and
     /// `epoll` → `poll` off Linux.  The default reads `CPHASH_FRONTEND`.
     pub frontend: FrontendKind,
-    /// Accept path: per-worker `SO_REUSEPORT` listeners (the default) or
-    /// the paper's single least-loaded acceptor thread.  Sharded silently
-    /// falls back to the acceptor thread where reuseport sharding is
-    /// unavailable (non-Linux, non-IPv4 bind).
-    pub accept: AcceptPath,
     /// Highest kvproto version to negotiate (2 = typed ops; 1 makes the
     /// server behave like a pre-versioning build, for compatibility tests).
     pub max_protocol: u8,
@@ -164,7 +157,6 @@ impl Default for CpServerConfig {
             max_partitions: 0,
             migration_pacing: MigrationPacing::Unpaced,
             frontend: FrontendKind::from_env(),
-            accept: AcceptPath::from_env(),
             max_protocol: cphash_kvproto::VERSION_2,
             batch_size: cphash::config::batch_size_from_env(),
             overload_retry: None,
@@ -208,31 +200,16 @@ impl CpServer {
         let metrics = Arc::new(ServerMetrics::new());
         metrics.attach_batch_sources(table.server_stats());
         metrics.attach_partition_source(table.partition_stats_sampler());
-        let (slots, inboxes) = worker_channels(config.client_threads, config.frontend);
-        // Accept path: per-worker SO_REUSEPORT listeners by default (the
-        // kernel load-balances accepts across workers), else the paper's
-        // single least-loaded acceptor thread — also the fallback where
-        // sharding cannot be built.
-        let sharded = match config.accept {
-            AcceptPath::Sharded => shard_listeners(config.bind, config.client_threads).ok(),
-            AcceptPath::Single => None,
-        };
-        let mut threads = Vec::new();
-        let (addr, listeners) = match sharded {
-            Some((addr, listeners)) => {
-                // Workers accept on their own listeners; nothing flows
-                // through the hand-off channels, so drop the senders (each
-                // worker's try_recv then just reports empty/disconnected).
-                drop(slots);
-                (addr, listeners.into_iter().map(Some).collect::<Vec<_>>())
-            }
-            None => {
-                let listener = TcpListener::bind(config.bind)?;
-                let (addr, acceptor) = spawn_acceptor(listener, slots, Arc::clone(&stop))?;
-                threads.push(acceptor);
-                (addr, (0..config.client_threads).map(|_| None).collect())
-            }
-        };
+        // Per-worker SO_REUSEPORT listeners, or the paper's least-loaded
+        // acceptor thread where the platform cannot shard.
+        let (addr, doors, acceptor) = open_front_doors(
+            config.bind,
+            config.client_threads,
+            config.frontend,
+            &metrics.frontend,
+            &stop,
+        )?;
+        let mut threads: Vec<JoinHandle<()>> = acceptor.into_iter().collect();
 
         // The admin thread owns the table's repartition coordinator and
         // serializes `resize` requests from every client thread. A static
@@ -273,14 +250,11 @@ impl CpServer {
             drop(admin_rx);
         }
 
-        for (index, ((handle, inbox), listener)) in
-            handles.into_iter().zip(inboxes).zip(listeners).enumerate()
-        {
+        for (index, (handle, (door, reactor))) in handles.into_iter().zip(doors).enumerate() {
             let stop = Arc::clone(&stop);
             let metrics = Arc::clone(&metrics);
             let batch = config.batch;
             let admin = resize_enabled.then(|| admin_tx.clone());
-            let frontend = config.frontend;
             let max_protocol = config.max_protocol;
             let overload_retry = config.overload_retry.map(|t| t.max(1));
             // Workers only pay for latency stamping when something will
@@ -298,13 +272,12 @@ impl CpServer {
                     .spawn(move || {
                         client_worker(
                             handle,
-                            inbox,
-                            listener,
+                            door,
+                            reactor,
                             stop,
                             metrics,
                             batch,
                             admin,
-                            frontend,
                             max_protocol,
                             overload_retry,
                             record_latency,
@@ -596,32 +569,20 @@ fn admin_reply(status: String) -> OutReply {
 /// hash-table operations in flight, no ordered responses waiting and no
 /// admin commands pending.  Everything that can unblock it from outside is
 /// a readiness event — socket bytes, socket writability for back-logged
-/// output, or the acceptor's waker — so idle connections cost nothing.
+/// output, or the front door — so idle connections cost nothing.
 #[allow(clippy::too_many_arguments)] // one call site, spawned per worker
 fn client_worker(
     mut handle: ClientHandle,
-    inbox: WorkerInbox,
-    listener: Option<TcpListener>,
+    mut door: FrontDoor,
+    mut reactor: Reactor,
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
     batch: usize,
     admin: Option<mpsc::Sender<AdminRequest>>,
-    frontend: FrontendKind,
     max_protocol: u8,
     overload_retry: Option<usize>,
     record_latency: bool,
 ) {
-    let mut reactor = Reactor::new(frontend, Arc::clone(&metrics.frontend));
-    if let Some(fd) = inbox.waker.fd() {
-        let _ = reactor.register(fd, WAKER_TOKEN, false);
-    }
-    // Sharded accept path: this worker owns one of the SO_REUSEPORT
-    // listeners (with io_uring the backend accepts in-kernel via
-    // multishot accept and hands finished fds over `take_accepted`).
-    if let Some(l) = listener.as_ref() {
-        let _ = reactor.register_listener(raw_fd_of(l), LISTENER_TOKEN);
-    }
-    let mut accepted: Vec<TcpStream> = Vec::new();
     // Connection slab: indices stay stable (they double as reactor tokens)
     // so in-flight tokens can refer to their connection even as others
     // close.
@@ -667,67 +628,25 @@ fn client_worker(
         let _ = reactor.wait(&mut ready, timeout);
         touched.clear();
 
-        // Adopt newly assigned connections (the waker made a sleeping
-        // reactor return; the channel itself is checked every iteration).
-        // The waker must be drained *before* the channel is polled: drained
-        // after, a hand-off landing between the two steps would have its
-        // wake-up consumed and sit unadopted through the next sleep.
-        if ready.contains(&WAKER_TOKEN) {
-            inbox.waker.drain();
-        }
-        while let Ok(stream) = inbox.receiver.try_recv() {
-            let adopted = Connection::with_max_protocol(stream, max_protocol).is_ok_and(|conn| {
-                crate::connection::adopt(
-                    &mut connections,
-                    &mut reactor,
-                    &mut ready,
-                    ConnState::new(conn, record_latency),
-                    |state| &state.conn,
-                )
-            });
-            if adopted {
-                metrics.note_connection();
-            } else {
-                inbox.active.fetch_sub(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
-            }
-        }
-
-        // Sharded accept path: adopt connections straight off this
-        // worker's own listener.  Adoption pushes the new tokens into
-        // `ready` mid-iteration, so a connection that already has bytes
-        // buffered is served by the dispatch loop just below.
-        if let Some(l) = listener.as_ref() {
-            if ready.contains(&LISTENER_TOKEN) {
-                drain_accepts(l, &mut reactor, LISTENER_TOKEN, &mut accepted);
-                for stream in accepted.drain(..) {
-                    // Keep the active gauge balanced with the retire path
-                    // even though nothing load-balances on it here.
-                    inbox.active.fetch_add(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
-                    let adopted =
-                        Connection::with_max_protocol(stream, max_protocol).is_ok_and(|conn| {
-                            crate::connection::adopt(
-                                &mut connections,
-                                &mut reactor,
-                                &mut ready,
-                                ConnState::new(conn, record_latency),
-                                |state| &state.conn,
-                            )
-                        });
-                    if adopted {
-                        metrics.note_connection();
-                    } else {
-                        inbox.active.fetch_sub(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
-                    }
-                }
-            }
-        }
+        // Adopt new connections.  Adoption pushes their tokens into
+        // `ready`, so a connection that already has bytes buffered is served
+        // by the dispatch loop just below.
+        door.admit(
+            &mut reactor,
+            &mut ready,
+            &mut connections,
+            &metrics,
+            |stream| {
+                let conn = Connection::with_max_protocol(stream, max_protocol)?;
+                Ok(ConnState::new(conn, record_latency))
+            },
+            |state| &state.conn,
+        );
 
         // Drain every ready connection fully and forward its requests to
         // the hash-table servers without waiting for answers.
         for &idx in ready.iter() {
-            if idx == WAKER_TOKEN || idx == LISTENER_TOKEN {
-                continue; // drained above, before the inbox poll
-            }
+            // The door's own tokens index no slot.
             let Some(state) = connections.get_mut(idx).and_then(|c| c.as_mut()) else {
                 continue;
             };
@@ -1045,7 +964,7 @@ fn client_worker(
             if verdict == crate::connection::Settle::Retired {
                 waiting_responses -= state.replies.len();
                 connections[idx] = None;
-                inbox.active.fetch_sub(1, Ordering::Relaxed); // relaxed: load-balance gauge; staleness is benign
+                door.retire();
                 lookup_tokens.retain(|_, t| t.conn != idx);
                 // In-flight writes keep their per-key accounting (the
                 // table operation still completes) but lose their reply

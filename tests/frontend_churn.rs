@@ -4,7 +4,8 @@
 //! lose no responses, and the event-driven front-end's wake-ups must be
 //! bounded by *activity*, not by how many (idle) connections a worker
 //! holds.  The whole file honours `CPHASH_FRONTEND`, so CI runs it under
-//! both the epoll and the busy-poll front-end.
+//! the epoll, busy-poll and io_uring front-ends, including the acceptor
+//! fallback an IPv6 bind takes.
 
 use bytes::BytesMut;
 use cphash_suite::kvproto::{encode_insert, encode_lookup, ResponseDecoder};
@@ -26,7 +27,11 @@ fn open_fds() -> Option<usize> {
 }
 
 fn roundtrip(addr: std::net::SocketAddr, key: u64) {
-    let mut stream = TcpStream::connect(addr).unwrap();
+    roundtrip_on(&mut TcpStream::connect(addr).unwrap(), key);
+}
+
+/// Insert `key` and read it back over an open connection.
+fn roundtrip_on(stream: &mut TcpStream, key: u64) {
     stream.set_nodelay(true).unwrap();
     let mut decoder = ResponseDecoder::new();
     let mut wire = BytesMut::new();
@@ -138,6 +143,75 @@ fn memcache_accept_close_storm_leaks_nothing() {
     assert_fds_settle(baseline);
     roundtrip(addr, 77);
     cluster.shutdown();
+}
+
+/// Whether this process runs a thread named `kv-acceptor` (`None` without
+/// /proc).  A new thread names itself once it first runs, so give it a
+/// moment to be scheduled.
+fn has_acceptor_thread() -> Option<bool> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let found = std::fs::read_dir("/proc/self/task")
+            .ok()?
+            .filter_map(Result::ok)
+            .any(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|comm| comm.trim() == "kv-acceptor")
+            });
+        if found || Instant::now() >= deadline {
+            return Some(found);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Sharded `SO_REUSEPORT` listeners need an IPv4 bind; an `[::1]` bind
+/// takes the paper's least-loaded acceptor thread (§4.1) instead, which no
+/// other server-level test reaches.
+#[test]
+fn ipv6_bind_serves_through_the_acceptor_fallback() {
+    let bind: std::net::SocketAddr = "[::1]:0".parse().unwrap();
+    if std::net::TcpListener::bind(bind).is_err() {
+        eprintln!("skipping: cannot bind [::1] on this host");
+        return;
+    }
+    let serves_through_the_acceptor = |addr: std::net::SocketAddr| {
+        assert!(addr.is_ipv6(), "server bound {addr}");
+        let acceptor = has_acceptor_thread();
+        assert_ne!(acceptor, Some(false), "no kv-acceptor behind an IPv6 bind");
+        let baseline = open_fds().unwrap_or(0);
+        // Concurrent connections spread over both workers' inboxes...
+        let mut conns: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        for key in 0..16u64 {
+            roundtrip_on(&mut conns[key as usize % 4], key);
+        }
+        drop(conns);
+        // ...then a short accept/close storm.
+        for key in 100..140u64 {
+            roundtrip(addr, key);
+        }
+        assert_fds_settle(baseline);
+    };
+
+    let mut cpserver = CpServer::start(CpServerConfig {
+        bind,
+        client_threads: 2,
+        partitions: 2,
+        ..Default::default()
+    })
+    .unwrap();
+    serves_through_the_acceptor(cpserver.addr());
+    cpserver.shutdown();
+
+    let mut lockserver = LockServer::start(LockServerConfig {
+        bind,
+        worker_threads: 2,
+        partitions: 64,
+        ..Default::default()
+    })
+    .unwrap();
+    serves_through_the_acceptor(lockserver.addr());
+    lockserver.shutdown();
 }
 
 #[test]

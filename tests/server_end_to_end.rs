@@ -19,6 +19,30 @@ fn small_spec() -> WorkloadSpec {
     }
 }
 
+/// Run `check` against a default LOCKSERVER, then a one-instance
+/// memcached-style cluster: the servers on the synchronous serve loop.
+fn on_synchronous_servers(check: fn(std::net::SocketAddr)) {
+    let mut lockserver = LockServer::start(LockServerConfig::default()).unwrap();
+    check(lockserver.addr());
+    lockserver.shutdown();
+
+    let mut cluster = MemcacheCluster::start(MemcacheConfig {
+        instances: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    check(cluster.addrs()[0]);
+    cluster.shutdown();
+}
+
+/// Run `check` against a default CPSERVER, then the synchronous servers.
+fn on_every_server(check: fn(std::net::SocketAddr)) {
+    let mut cpserver = CpServer::start(CpServerConfig::default()).unwrap();
+    check(cpserver.addr());
+    cpserver.shutdown();
+    on_synchronous_servers(check);
+}
+
 #[test]
 fn cpserver_under_tcp_load() {
     let mut server = CpServer::start(CpServerConfig {
@@ -163,18 +187,7 @@ fn delete_over_tcp_against_every_server() {
     delete_roundtrip(cpserver.addr());
     assert!(cpserver.metrics().deletes() >= 3);
     cpserver.shutdown();
-
-    let mut lockserver = LockServer::start(LockServerConfig::default()).unwrap();
-    delete_roundtrip(lockserver.addr());
-    lockserver.shutdown();
-
-    let mut cluster = MemcacheCluster::start(MemcacheConfig {
-        instances: 1,
-        ..Default::default()
-    })
-    .unwrap();
-    delete_roundtrip(cluster.addrs()[0]);
-    cluster.shutdown();
+    on_synchronous_servers(delete_roundtrip);
 }
 
 #[test]
@@ -233,31 +246,44 @@ fn oversized_envelope_is_refused_not_stored() {
     // server-side §8.2 envelope (4 + key_len extra bytes) would exceed
     // MAX_VALUE_BYTES — and a stored oversized envelope would later produce
     // lookup replies no client decoder accepts, killing innocent readers'
-    // connections.  The server must refuse the insert instead.
-    let mut server = CpServer::start(CpServerConfig::default()).unwrap();
-    let mut client = RemoteClient::connect(server.addr()).unwrap();
-    let big = vec![0x5Au8; MAX_VALUE_BYTES - 2];
-    assert!(
-        !client.insert_blocking(KeyRef::Bytes(b"big"), &big).unwrap(),
-        "enveloped value past the limit reads as a capacity refusal"
-    );
-    // The connection survives and the key was not stored.
-    assert_eq!(client.get_blocking(KeyRef::Bytes(b"big")).unwrap(), None);
-    // A maximal value that still fits with its envelope is accepted.
-    let fits = vec![0xA5u8; MAX_VALUE_BYTES - 4 - 3];
-    assert!(client
-        .insert_blocking(KeyRef::Bytes(b"big"), &fits)
-        .unwrap());
-    assert_eq!(
-        client
-            .get_blocking(KeyRef::Bytes(b"big"))
-            .unwrap()
-            .unwrap()
-            .len(),
-        fits.len()
-    );
-    drop(client);
-    server.shutdown();
+    // connections.  Every server must refuse the insert instead.
+    fn refuses_oversized(addr: std::net::SocketAddr) {
+        let mut client = RemoteClient::connect(addr).unwrap();
+        let big = vec![0x5Au8; MAX_VALUE_BYTES - 2];
+        assert!(
+            !client.insert_blocking(KeyRef::Bytes(b"big"), &big).unwrap(),
+            "enveloped value past the limit reads as a capacity refusal"
+        );
+        // The connection survives and the key was not stored.
+        assert_eq!(client.get_blocking(KeyRef::Bytes(b"big")).unwrap(), None);
+        // A maximal value that still fits with its envelope is accepted.
+        let fits = vec![0xA5u8; MAX_VALUE_BYTES - 4 - 3];
+        assert!(client
+            .insert_blocking(KeyRef::Bytes(b"big"), &fits)
+            .unwrap());
+        let stored = client.get_blocking(KeyRef::Bytes(b"big")).unwrap();
+        assert_eq!(stored.unwrap().len(), fits.len());
+    }
+    on_every_server(refuses_oversized);
+}
+
+#[test]
+fn synchronous_servers_refuse_resize_and_keep_serving() {
+    use cphash_suite::{KeyRef, KvClient, KvError, OpError, RemoteClient};
+
+    // LOCKSERVER and the memcached-style instances have a fixed shape: a v2
+    // RESIZE is answered with `Unsupported` (never left hanging in the
+    // ordered reply stream), and the same connection keeps serving.
+    fn refuses_resize(addr: std::net::SocketAddr) {
+        let mut client = RemoteClient::connect(addr).unwrap();
+        assert_eq!(client.protocol_version(), 2);
+        let refused = client.admin_resize(8, 0);
+        assert!(matches!(refused, Err(KvError::Op(OpError::Unsupported))));
+        assert!(client.insert_blocking(KeyRef::Hash(41), b"after").unwrap());
+        let got = client.get_blocking(KeyRef::Hash(41)).unwrap();
+        assert_eq!(got.unwrap().as_slice(), b"after");
+    }
+    on_synchronous_servers(refuses_resize);
 }
 
 #[test]
@@ -303,20 +329,5 @@ fn all_three_servers_agree_on_protocol_semantics() {
         );
         assert_eq!(responses[1].value, None);
     }
-
-    let mut cpserver = CpServer::start(CpServerConfig::default()).unwrap();
-    roundtrip(cpserver.addr());
-    cpserver.shutdown();
-
-    let mut lockserver = LockServer::start(LockServerConfig::default()).unwrap();
-    roundtrip(lockserver.addr());
-    lockserver.shutdown();
-
-    let mut cluster = MemcacheCluster::start(MemcacheConfig {
-        instances: 1,
-        ..Default::default()
-    })
-    .unwrap();
-    roundtrip(cluster.addrs()[0]);
-    cluster.shutdown();
+    on_every_server(roundtrip);
 }
