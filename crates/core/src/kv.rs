@@ -100,6 +100,10 @@ pub trait KvClient {
 
     /// Queue one operation; returns the token its [`Completion`] will
     /// carry.  Never blocks (backlogged work is buffered client-side).
+    /// A backend may hold submitted work until the next
+    /// [`KvClient::poll_completions`] so it leaves as one batch:
+    /// `RemoteClient` writes at submit only when the connection was idle
+    /// or a buffer's worth is queued, so callers must keep polling.
     fn submit(&mut self, op: KvOp<'_>) -> u64;
 
     /// Push queued work towards the backend and collect available

@@ -9,6 +9,16 @@
 //! client-side, exactly what `AnyKeyClient` did; DELETE completes as
 //! `Failed(Unsupported)` because v1 has no such opcode).
 //!
+//! Requests are batched on the wire, as the paper's client threads
+//! "gather as many requests as possible" (§4.1).  The send rule: `submit`
+//! writes at once only when the connection was idle (no reply
+//! outstanding), which keeps unloaded latency at one round trip, or when
+//! the queued bytes reach `OUTGOING_CAPACITY` (16 KiB).  Otherwise the
+//! request waits in the outgoing buffer and leaves with everything else
+//! queued on the next `poll_completions`, which flushes before it reads.
+//! v1 INSERTs are fire-and-forget (they complete as `Inserted` without a
+//! reply), so they are written at submit.
+//!
 //! [`PartitionedClient`] fans one logical client out over several
 //! `RemoteClient`s with client-side key partitioning — the paper's §7
 //! memcached comparison "configured the client to partition the key space
@@ -19,7 +29,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use cphash_kvproto::{
     encode_hello, encode_op, envelope, parse_hello, ErrCode, OpFrame, OpKind, ReplyDecoder,
     ResponseDecoder, Status, WireKey, HELLO_BYTES, VERSION_1, VERSION_2,
@@ -30,6 +40,10 @@ use crate::kv::{KeyRef, KvClient, KvError, KvOp};
 
 /// Default pipelined-window recommendation for remote backends.
 const DEFAULT_WINDOW: usize = 256;
+
+/// The outgoing buffer's initial capacity, and the queued-request bytes at
+/// which `submit` writes without waiting for the next poll.
+const OUTGOING_CAPACITY: usize = 16 * 1024;
 
 /// How long to wait for the server's HELLO-ACK before giving up on the
 /// connection attempt (a v1 server answers faster than this: it *closes*).
@@ -106,7 +120,7 @@ impl RemoteClient {
         Ok(RemoteClient {
             stream,
             version,
-            outgoing: BytesMut::with_capacity(16 * 1024),
+            outgoing: BytesMut::with_capacity(OUTGOING_CAPACITY),
             reply_decoder: ReplyDecoder::new(),
             v1_decoder: ResponseDecoder::new(),
             pending: VecDeque::new(),
@@ -177,7 +191,7 @@ impl RemoteClient {
             match self.stream.write(&self.outgoing) {
                 Ok(0) => self.dead = Some(ErrorKind::WriteZero),
                 Ok(n) => {
-                    let _ = self.outgoing.split_to(n);
+                    self.outgoing.advance(n);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -357,9 +371,13 @@ impl KvClient for RemoteClient {
                 _ => {}
             }
         }
+        // The send rule (module docs).
+        let idle = self.pending.is_empty();
         self.encode_for_wire(&frame);
         self.pending.push_back(PendingRemote { token, frame });
-        self.flush_outgoing();
+        if idle || self.outgoing.len() >= OUTGOING_CAPACITY {
+            self.flush_outgoing();
+        }
         token
     }
 

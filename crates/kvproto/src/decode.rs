@@ -50,6 +50,14 @@ impl core::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Copy out the next `len` buffered bytes and consume them: one copy into
+/// the returned `Vec`, and an O(1) cursor move.
+fn take(buffer: &mut BytesMut, len: usize) -> Vec<u8> {
+    let bytes = buffer[..len].to_vec();
+    buffer.advance(len);
+    bytes
+}
+
 /// Streaming decoder for request frames (server side).
 #[derive(Debug, Default)]
 pub struct RequestDecoder {
@@ -99,7 +107,7 @@ impl RequestDecoder {
             return Ok(None);
         }
         self.buffer.advance(REQUEST_HEADER_BYTES);
-        let value = self.buffer.split_to(body).to_vec();
+        let value = take(&mut self.buffer, body);
         Ok(Some(Request { kind, key, value }))
     }
 
@@ -147,7 +155,7 @@ impl ResponseDecoder {
             return Ok(None);
         }
         self.buffer.advance(RESPONSE_HEADER_BYTES);
-        let value = self.buffer.split_to(size).to_vec();
+        let value = take(&mut self.buffer, size);
         Ok(Some(Response {
             value: if size == 0 { None } else { Some(value) },
         }))
@@ -317,7 +325,7 @@ impl ServerDecoder {
             return Ok(None);
         }
         self.buffer.advance(REQUEST_HEADER_BYTES);
-        let value = self.buffer.split_to(body).to_vec();
+        let value = take(&mut self.buffer, body);
         let (kind, wants_response) = match kind {
             RequestKind::Lookup => (OpKind::Lookup, true),
             RequestKind::Insert => (OpKind::Insert, false),
@@ -368,7 +376,7 @@ impl ServerDecoder {
         }
         self.buffer.advance(OP_HEADER_BYTES);
         let key = if byte_key {
-            WireKey::Bytes(self.buffer.split_to(key_len).to_vec())
+            WireKey::Bytes(take(&mut self.buffer, key_len))
         } else {
             // RESIZE keys pack partitions+pacing and must not be masked.
             WireKey::Hash(if kind == OpKind::Resize {
@@ -377,7 +385,7 @@ impl ServerDecoder {
                 key_field & MAX_KEY
             })
         };
-        let value = self.buffer.split_to(val_len).to_vec();
+        let value = take(&mut self.buffer, val_len);
         Ok(Some(ServerOp {
             frame: OpFrame { kind, key, value },
             wants_response: true,
@@ -427,7 +435,7 @@ impl ReplyDecoder {
             return Ok(None);
         }
         self.buffer.advance(REPLY_HEADER_BYTES);
-        let value = self.buffer.split_to(val_len).to_vec();
+        let value = take(&mut self.buffer, val_len);
         Ok(Some(Reply {
             status,
             code,

@@ -235,3 +235,47 @@ proptest! {
         // With a flip: no panic is the property; outcomes may differ.
     }
 }
+
+/// One read holding 20 000 frames decodes in time linear in its size:
+/// consuming a frame moves the decoder's read cursor instead of shifting
+/// every byte still buffered behind it.
+#[test]
+fn one_large_feed_of_v2_frames_decodes_completely() {
+    const FRAMES: u64 = 20_000;
+    let mut wire = BytesMut::new();
+    encode_hello(&mut wire, VERSION_2);
+    let mut expected = vec![ServerEvent::Hello {
+        requested: VERSION_2,
+    }];
+    for i in 0..FRAMES {
+        let frame = match i % 3 {
+            0 => OpFrame::lookup(i),
+            1 => OpFrame::insert_bytes(i.to_le_bytes().to_vec(), vec![i as u8; (i % 64) as usize]),
+            _ => OpFrame::delete(i),
+        };
+        encode_op(&mut wire, &frame);
+        expected.push(ServerEvent::Op(cphash_kvproto::ServerOp {
+            frame,
+            wants_response: true,
+        }));
+    }
+    let (events, errored) = decode_all(&wire);
+    assert!(!errored);
+    assert_eq!(events.len(), FRAMES as usize + 1);
+    assert_eq!(events, expected);
+
+    // The client side: the same number of replies in one feed.
+    let mut replies = BytesMut::new();
+    for i in 0..FRAMES {
+        encode_reply(&mut replies, &Reply::ok_value(i.to_le_bytes().to_vec()));
+    }
+    let mut decoder = ReplyDecoder::new();
+    decoder.feed(&replies);
+    let mut decoded = 0u64;
+    while let Some(reply) = decoder.next_reply().expect("valid replies") {
+        assert_eq!(reply.value, decoded.to_le_bytes());
+        decoded += 1;
+    }
+    assert_eq!(decoded, FRAMES);
+    assert_eq!(decoder.buffered(), 0);
+}

@@ -3,7 +3,7 @@
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 use cphash_kvproto::{
     encode_hello, encode_response, Reply, ServerDecoder, ServerEvent, ServerOp, Status, VERSION_1,
     VERSION_2,
@@ -187,7 +187,7 @@ impl Connection {
                 }
                 Ok(n) => {
                     written += n;
-                    let _ = self.outgoing.split_to(n);
+                    self.outgoing.advance(n);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,

@@ -5,7 +5,9 @@
 //! address): a set of generator threads, each owning several connections,
 //! sends pipelined batches of LOOKUP/INSERT requests and reads back the
 //! responses.  Batching over the socket mirrors how the paper's TCP
-//! clients "gather as many requests as possible … in a single batch".
+//! clients "gather as many requests as possible … in a single batch":
+//! under `RemoteClient`'s send rule the first request of a batch is
+//! written at once and the rest leave together on the next poll.
 //!
 //! Each connection is a [`cphash::RemoteClient`] driven through the
 //! [`cphash::KvClient`] trait — the same client the examples and admin
@@ -194,7 +196,7 @@ mod tests {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { break };
                 // The real servers disable Nagle (kvserver sets nodelay on
-                // accept); without it the per-op client writes and delayed
+                // accept); without it the client's small writes and delayed
                 // ACKs handshake into 40 ms stalls per response burst.
                 let _ = stream.set_nodelay(true);
                 std::thread::spawn(move || {
